@@ -14,7 +14,7 @@
 //! invalidations delivered, update pushes applied — so the emitted
 //! `ssmp-sweep-v1` artifact is byte-for-byte reproducible; CI regenerates
 //! it and diffs against the committed `BENCH_protocols.json` with
-//! `perfguard` (every key is in its exact-match class).
+//! `ssmp diff --gate` (every key is in its exact-match class).
 //!
 //! Usage: `protocols [--quick] [--json] [--jobs N] [--seed N] [--out FILE]`
 
@@ -184,6 +184,6 @@ fn protocols_table(sweep: &SweepResult) -> Table {
     }
     t.note("invalidate backends (wbi, mesi) count invalidations; update backends (ric, dragon) count word pushes");
     t.note("hotspot takes no locks, so its rows isolate the data protocols; sor's TTS locks and barrier flag ride the wbi substrate, so sor invals include lock-spin invalidations and the wbi row's data msgs include lock traffic");
-    t.note("every key is deterministic — perfguard holds BENCH_protocols.json to exact equality");
+    t.note("every key is deterministic — ssmp diff --gate holds BENCH_protocols.json to exact equality");
     t
 }

@@ -1,15 +1,10 @@
 //! **Simulator throughput baseline**: end-to-end events/sec and
-//! cycles/sec of the machine simulator itself, heap vs. timing-wheel
-//! event queue, across three paper workloads × two interconnect
-//! topologies.
+//! cycles/sec of the machine simulator itself (on its timing-wheel event
+//! queue), across three paper workloads × two interconnect topologies.
 //!
 //! Unlike the paper-artifact binaries this measures the *simulator*, not
-//! the simulated machine: both queue implementations run the identical
-//! configuration in the same process and the artifact records their wall
-//! times side by side, so the speedup column is meaningful even on a
-//! noisy host. Each point also asserts that the two queues produced the
-//! same completion time and message count — the determinism contract the
-//! wheel scheduler must uphold.
+//! the simulated machine. The simulated `cycles` and `events` of each
+//! point are exact and gated; the wall-clock columns are informational.
 //!
 //! Usage: `throughput [--quick] [--json] [--seed N] [--out FILE]`
 //! (runs single-threaded regardless of `--jobs`: timed points must not
@@ -19,7 +14,7 @@ use std::time::Instant;
 
 use ssmp_bench::exp::{ExpArgs, Experiment, PointOutput, RunnerOpts, SweepResult};
 use ssmp_bench::{run_solver, run_sync, run_work_queue_strong, Table};
-use ssmp_machine::{MachineConfig, QueueKind, Report};
+use ssmp_machine::{MachineConfig, Report};
 use ssmp_net::Topology;
 use ssmp_workload::{Allocation, Grain};
 
@@ -31,7 +26,7 @@ struct Sizes {
     nodes: usize,
     tasks: usize,
     solver_iters: usize,
-    /// Timed repetitions per queue kind; the fastest is recorded.
+    /// Timed repetitions; the fastest is recorded.
     reps: usize,
 }
 
@@ -67,10 +62,9 @@ fn run_workload(wl: &str, cfg: MachineConfig, s: &Sizes) -> Report {
     }
 }
 
-/// Runs `wl` under `queue` `reps` times, returning the last report and
-/// the fastest wall time in seconds.
-fn timed(wl: &str, mut cfg: MachineConfig, queue: QueueKind, s: &Sizes) -> (Report, f64) {
-    cfg.queue = queue;
+/// Runs `wl` `reps` times, returning the last report and the fastest
+/// wall time in seconds.
+fn timed(wl: &str, cfg: MachineConfig, s: &Sizes) -> (Report, f64) {
     let mut best = f64::INFINITY;
     let mut report = None;
     for _ in 0..s.reps.max(1) {
@@ -101,35 +95,15 @@ fn main() {
                     let sizes = Sizes::pick(args.quick);
                     let mut cfg = MachineConfig::cbl(nodes);
                     cfg.topology = topo;
-                    let (heap_r, heap_s) = timed(wl, cfg.clone(), QueueKind::Heap, &sizes);
-                    let (wheel_r, wheel_s) = timed(wl, cfg, QueueKind::Wheel, &sizes);
-                    // The determinism contract: the queue implementation
-                    // must be invisible in the simulation outcome.
-                    assert_eq!(
-                        heap_r.completion, wheel_r.completion,
-                        "heap and wheel queues diverged on completion time"
-                    );
-                    assert_eq!(
-                        heap_r.total_messages(),
-                        wheel_r.total_messages(),
-                        "heap and wheel queues diverged on message count"
-                    );
-                    assert_eq!(
-                        heap_r.events_popped, wheel_r.events_popped,
-                        "heap and wheel queues dispatched different event counts"
-                    );
-                    let events = wheel_r.events_popped as f64;
-                    let cycles = wheel_r.completion as f64;
+                    let (r, secs) = timed(wl, cfg, &sizes);
+                    let events = r.events_popped as f64;
+                    let cycles = r.completion as f64;
                     PointOutput::values(vec![
                         ("cycles".into(), cycles),
                         ("events".into(), events),
-                        ("heap_secs".into(), heap_s),
-                        ("wheel_secs".into(), wheel_s),
-                        ("heap_events_per_sec".into(), events / heap_s.max(1e-12)),
-                        ("wheel_events_per_sec".into(), events / wheel_s.max(1e-12)),
-                        ("heap_cycles_per_sec".into(), cycles / heap_s.max(1e-12)),
-                        ("wheel_cycles_per_sec".into(), cycles / wheel_s.max(1e-12)),
-                        ("speedup".into(), heap_s / wheel_s.max(1e-12)),
+                        ("wheel_secs".into(), secs),
+                        ("wheel_events_per_sec".into(), events / secs.max(1e-12)),
+                        ("wheel_cycles_per_sec".into(), cycles / secs.max(1e-12)),
                     ])
                 },
             );
@@ -149,35 +123,25 @@ fn main() {
 
 fn throughput_table(sweep: &SweepResult) -> Table {
     let mut t = Table::new(
-        "Simulator throughput: heap vs timing-wheel event queue",
-        &[
-            "cycles",
-            "events",
-            "heap ev/s",
-            "wheel ev/s",
-            "wheel cyc/s",
-            "speedup",
-        ],
+        "Simulator throughput (timing-wheel event queue)",
+        &["cycles", "events", "ev/s", "cyc/s"],
     );
-    let mut best = 0.0f64;
     for &wl in WORKLOADS {
         for &(topo_name, _) in TOPOLOGIES {
             let label = format!("{wl}/{topo_name}");
-            best = best.max(sweep.value(&label, "speedup"));
             t.row(
                 label.clone(),
                 vec![
                     sweep.value(&label, "cycles"),
                     sweep.value(&label, "events"),
-                    sweep.value(&label, "heap_events_per_sec"),
                     sweep.value(&label, "wheel_events_per_sec"),
                     sweep.value(&label, "wheel_cycles_per_sec"),
-                    sweep.value(&label, "speedup"),
                 ],
             );
         }
     }
-    t.note("both queues run the identical configuration in-process; speedup = heap_secs / wheel_secs (fastest of the timed repetitions)");
-    t.note(format!("best wheel speedup across points: {best:.2}x"));
+    t.note(
+        "wall-clock rates are the fastest of the timed repetitions; cycles and events are exact",
+    );
     t
 }

@@ -13,7 +13,7 @@ pub const USAGE: &str = "\
 usage:
   ssmp run   --workload <wl> (--protocol <p> | --config <cfg>) [--nodes N]
              [--grain g] [--tasks T] [--seed S]
-             [--topology omega|bus|ideal] [--queue wheel|heap] [--json]
+             [--topology omega|bus|ideal] [--json]
   ssmp sweep [--points <spec>] [--workload <wl>
              (--protocol <p>[,p...] | --config <cfg>[,cfg...])
              [--nodes 4,8,16,...]] [--jobs N] [--seed S] [--quick]
@@ -41,8 +41,8 @@ worker threads; the emitted artifact is byte-identical for any --jobs.
   --out <file>                    write the full JSON artifact (points
                                   incl. failures + per-point seeds)
   --diff-against <artifact>       diff this sweep against a committed
-                                  ssmp-sweep-v1 baseline (the perfguard
-                                  policies gate it; violations exit 1)
+                                  ssmp-sweep-v1 baseline (the diff gate
+                                  policies apply; violations exit 1)
 
 differential observability:
   ssmp diff takes any two artifacts of the same kind — two --json run
@@ -56,16 +56,10 @@ differential observability:
   handoff shifts, span-segment tiling shifts with percentile-by-
   percentile comparison, and a ranked top-movers summary. --json /
   --out emit the deterministic ssmp-diff-v1 document; --gate exits 1
-  on policy violations (sweeps gate by perfguard key class: exact keys
-  must match, speedup sags past --tolerance fail, wall-clock keys are
+  on policy violations (sweeps gate by key class: exact keys must
+  match, speedup sags past --tolerance fail, wall-clock keys are
   informational; other kinds gate on strict identity). Either path may
   be '-' for stdin.
-
-simulator internals (run, sweep, trace replay, program):
-  [--queue wheel|heap]   event-queue implementation: the timing-wheel
-  scheduler (default) or the binary-heap baseline. Reports and sweep
-  artifacts are byte-identical either way; the flag exists for perf
-  comparison and as an escape hatch.
 
 fault injection / robustness (run, sweep, trace replay, program):
   [--fault-seed S] [--drop-prob p] [--dup-prob p] [--delay-prob p]
@@ -120,10 +114,9 @@ protocols: ric | wbi | mesi | dragon
   write-invalidate directory, snooping MESI, or the Dragon write-update
   protocol. Each uses TTS locks and the software barrier, so the data
   protocols compare like-for-like.
-configs:   wbi | wbi-backoff | cbl | sc-cbl | bc-cbl | ric | mesi | dragon
-  --config is the older spelling (deprecated in favour of --protocol for
-  the four coherence schemes); it keeps working, and remains the only way
-  to pick the lock-centric presets (wbi-backoff, cbl, sc-cbl, bc-cbl).
+configs:   wbi-backoff | cbl | sc-cbl | bc-cbl
+  --config picks a lock-centric preset; the four coherence backends are
+  named with --protocol only.
 grains:    fine | medium | coarse";
 
 const VALUED: &[&str] = &[
@@ -156,7 +149,6 @@ const VALUED: &[&str] = &[
     "trace-ring",
     "metrics-interval",
     "top",
-    "queue",
     "repro",
     "seeds",
     "planted-bug",
@@ -255,21 +247,20 @@ fn check_protocol(name: &str) -> Result<(), String> {
     }
 }
 
-/// Warns (once per value, on stderr) when the deprecated `--config`
-/// spelling names a coherence backend that `--protocol` selects; the
-/// lock-centric presets have no `--protocol` spelling, so they stay
-/// silent.
-pub(crate) fn warn_config_deprecated(value: &str) {
+/// Rejects a `--config` value that names a coherence backend: those are
+/// selected with `--protocol`, and `--config` takes the lock presets.
+fn check_config(value: &str) -> Result<(), String> {
     if PROTOCOLS.contains(&value) {
-        eprintln!(
-            "warning: --config {value} is deprecated; use --protocol {value} \
-             (--config remains for the lock-centric presets)"
-        );
+        return Err(format!(
+            "--config {value} is not a lock preset; use --protocol {value} \
+             (--config takes wbi-backoff|cbl|sc-cbl|bc-cbl)"
+        ));
     }
+    Ok(())
 }
 
-/// Resolves the configuration name from `--protocol` (preferred) or the
-/// older `--config` spelling; the conflict table rejects giving both.
+/// Resolves the configuration name from `--protocol` or `--config`; the
+/// conflict table rejects giving both.
 fn config_selector(f: &Flags) -> Result<&str, String> {
     match f.get("protocol") {
         Some(p) => {
@@ -278,7 +269,7 @@ fn config_selector(f: &Flags) -> Result<&str, String> {
         }
         None => {
             let c = f.require("config")?;
-            warn_config_deprecated(c);
+            check_config(c)?;
             Ok(c)
         }
     }
@@ -318,8 +309,8 @@ const CONFLICTS: &[(&str, &str, &str)] = &[
     (
         "protocol",
         "config",
-        "--protocol is the one coherence-selection surface and --config is its \
-         older spelling; give either, not both",
+        "--protocol picks a coherence backend and --config a lock preset; give \
+         either, not both",
     ),
     (
         "repro",
@@ -370,7 +361,6 @@ fn check_conflicts(f: &Flags) -> Result<(), String> {
 #[derive(Debug, Clone, Default)]
 struct SimFlags {
     topology: Option<ssmp_net::Topology>,
-    queue: Option<ssmp_machine::QueueKind>,
     fault: Option<ssmp_net::FaultConfig>,
     retry: Option<ssmp_machine::RetryPolicy>,
     max_cycles: Option<u64>,
@@ -395,13 +385,6 @@ impl SimFlags {
                 "bus" => ssmp_net::Topology::Bus,
                 "ideal" => ssmp_net::Topology::Ideal,
                 other => return Err(format!("unknown topology '{other}'")),
-            });
-        }
-        if let Some(q) = f.get("queue") {
-            s.queue = Some(match q {
-                "wheel" => ssmp_machine::QueueKind::Wheel,
-                "heap" => ssmp_machine::QueueKind::Heap,
-                other => return Err(format!("unknown queue '{other}' (expected wheel or heap)")),
             });
         }
         let drop_prob = f.num::<f64>("drop-prob", 0.0)?;
@@ -436,9 +419,6 @@ impl SimFlags {
     fn apply(&self, cfg: &mut MachineConfig) -> Result<(), String> {
         if let Some(t) = self.topology {
             cfg.topology = t;
-        }
-        if let Some(q) = self.queue {
-            cfg.queue = q;
         }
         if let Some(fc) = &self.fault {
             cfg.fault = Some(fc.clone());
@@ -785,7 +765,7 @@ fn sweep(f: &Flags) -> Result<(), String> {
                     let cs = f.list("config", &["wbi", "cbl", "bc-cbl"]);
                     if f.get("config").is_some() {
                         for c in &cs {
-                            warn_config_deprecated(c);
+                            check_config(c)?;
                         }
                     }
                     cs
@@ -1002,7 +982,7 @@ fn sweep(f: &Flags) -> Result<(), String> {
         std::process::exit(1);
     }
     // Differential gate: diff this sweep's artifact against a committed
-    // baseline (perfguard's key classes decide what may move).
+    // baseline (the diff engine's key classes decide what may move).
     if let Some(base_path) = f.get("diff-against") {
         let base = ssmp_diff::Artifact::parse(&read_input(base_path)?)
             .map_err(|e| format!("--diff-against {base_path}: {e}"))?;
@@ -2107,14 +2087,14 @@ mod tests {
 
     #[test]
     fn sor_runs_padded_and_packed() {
-        for cfg in ["wbi", "cbl"] {
+        for (flag, cfg) in [("--protocol", "wbi"), ("--config", "cbl")] {
             for layout in [
                 &["--workload", "sor"][..],
                 &["--workload", "sor", "--packed"],
             ] {
                 let mut args = vec!["run"];
                 args.extend_from_slice(layout);
-                args.extend_from_slice(&["--config", cfg, "--nodes", "4", "--tasks", "32"]);
+                args.extend_from_slice(&[flag, cfg, "--nodes", "4", "--tasks", "32"]);
                 dispatch(&v(&args)).unwrap();
             }
         }
@@ -2146,39 +2126,6 @@ mod tests {
     fn sweep_table3_rejects_profile_flag() {
         let e = dispatch(&v(&["sweep", "--points", "table3:4", "--profile"])).unwrap_err();
         assert!(e.contains("table3"), "{e}");
-    }
-
-    #[test]
-    fn queue_flag_parses_and_rejects_unknown() {
-        for q in ["heap", "wheel"] {
-            dispatch(&v(&[
-                "run",
-                "--workload",
-                "sync",
-                "--config",
-                "cbl",
-                "--nodes",
-                "4",
-                "--tasks",
-                "4",
-                "--queue",
-                q,
-            ]))
-            .unwrap();
-        }
-        let e = dispatch(&v(&[
-            "run",
-            "--workload",
-            "sync",
-            "--config",
-            "cbl",
-            "--nodes",
-            "4",
-            "--queue",
-            "fifo",
-        ]))
-        .unwrap_err();
-        assert!(e.contains("unknown queue"), "{e}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! ssmp run   --workload work-queue --config bc-cbl --nodes 16 [--grain medium]
 //!            [--tasks 128] [--seed N] [--json]
-//! ssmp sweep --workload sync --config wbi,cbl --nodes 4,8,16,32
+//! ssmp sweep --workload sync --protocol wbi,ric --nodes 4,8,16,32
 //! ssmp trace capture --workload sync --nodes 8 --out trace.json
 //! ssmp trace replay  --in trace.json --config bc-cbl [--json]
 //! ```

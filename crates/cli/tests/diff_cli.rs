@@ -13,8 +13,11 @@
 //! 4. **Gate semantics** — a drifted deterministic artifact fails
 //!    `--gate` with exit 1; `sweep --diff-against` gates the same way.
 //!
-//! Plus the satellite surfaces: the `--config` deprecation warning,
-//! `trace stats --json`, and `-` (stdin) operands for analyze/spans/diff.
+//! Plus the satellite surfaces: `--config` rejecting protocol names,
+//! `trace stats --json`, `-` (stdin) operands for analyze/spans/diff, and
+//! the CI gate on the committed `BENCH_*.json` baselines (self-diffs
+//! clean, a tampered artifact exits 1, an unreadable or mismatched one
+//! exits 2).
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -175,7 +178,7 @@ fn sweep_diff_against_gates_its_own_baseline() {
     run_cli_ok(&[
         "sweep", "--points", "table3:4", "--quick", "--jobs", "2", "--json", "--out", &base,
     ]);
-    // identical regeneration passes and prints the perfguard table
+    // identical regeneration passes and prints the gate's delta table
     let out = run_cli_ok(&[
         "sweep",
         "--points",
@@ -208,25 +211,44 @@ fn sweep_diff_against_gates_its_own_baseline() {
 }
 
 #[test]
-fn config_spelling_warns_deprecated_but_protocol_does_not() {
+fn config_rejects_protocol_names() {
+    for p in ["ric", "wbi", "mesi", "dragon"] {
+        let out = run_cli(&[
+            "run",
+            "--workload",
+            "sync",
+            "--config",
+            p,
+            "--nodes",
+            "4",
+            "--tasks",
+            "4",
+        ]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--config {p} must be a usage error"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("use --protocol {p}")), "{err}");
+    }
     let out = run_cli(&[
-        "run",
+        "sweep",
         "--workload",
         "sync",
         "--config",
-        "wbi",
+        "cbl,mesi",
         "--nodes",
         "4",
-        "--tasks",
-        "4",
+        "--quick",
     ]);
-    assert!(out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("--config wbi is deprecated; use --protocol wbi"),
-        "{err}"
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "sweep --config mesi must be rejected"
     );
-    let out = run_cli(&[
+    // the protocol spelling and the lock presets run
+    run_cli_ok(&[
         "run",
         "--workload",
         "sync",
@@ -234,16 +256,8 @@ fn config_spelling_warns_deprecated_but_protocol_does_not() {
         "wbi",
         "--nodes",
         "4",
-        "--tasks",
-        "4",
     ]);
-    assert!(out.status.success());
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "--protocol must not warn"
-    );
-    // the lock-centric presets have no --protocol spelling: stay silent
-    let out = run_cli(&[
+    run_cli_ok(&[
         "run",
         "--workload",
         "sync",
@@ -251,14 +265,73 @@ fn config_spelling_warns_deprecated_but_protocol_does_not() {
         "bc-cbl",
         "--nodes",
         "4",
-        "--tasks",
-        "4",
     ]);
-    assert!(out.status.success());
+}
+
+/// A committed `BENCH_*.json` baseline at the repository root.
+fn baseline(name: &str) -> String {
+    let p = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(name);
+    p.to_str().expect("utf-8 path").to_string()
+}
+
+#[test]
+fn committed_baselines_pass_self_diff_gate() {
+    for name in [
+        "BENCH_table2.json",
+        "BENCH_latency.json",
+        "BENCH_throughput.json",
+        "BENCH_protocols.json",
+    ] {
+        let path = baseline(name);
+        let text = String::from_utf8(run_cli_ok(&["diff", &path, &path, "--gate"])).unwrap();
+        assert!(
+            text.contains("identical: no deltas"),
+            "{name}: self-diff must be empty\n{text}"
+        );
+    }
+}
+
+#[test]
+fn tampered_baseline_fails_the_gate() {
+    let base = baseline("BENCH_protocols.json");
+    let doc = std::fs::read_to_string(&base).unwrap();
+    // perturb one deterministic value: any movement must trip the gate
+    let tampered = doc.replacen("\"completion\":", "\"completion\":1, \"x_completion\":", 1);
+    assert_ne!(doc, tampered, "fixture must actually change");
+    let (p, cur) = tmp("tampered.json");
+    std::fs::write(&p, tampered).unwrap();
+    let out = run_cli(&["diff", &base, &cur, "--gate"]);
+    assert_eq!(out.status.code(), Some(1), "drift must exit 1");
+    let err = String::from_utf8_lossy(&out.stderr);
     assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("deprecated"),
-        "lock presets must not warn"
+        err.contains("violation(s)") && err.contains("drifted"),
+        "stderr must summarise the violations: {err}"
     );
+    std::fs::remove_file(p).ok();
+}
+
+#[test]
+fn unreadable_or_mismatched_artifact_exits_2() {
+    let out = run_cli(&[
+        "diff",
+        "/nonexistent/a.json",
+        "/nonexistent/b.json",
+        "--gate",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "load failure must exit 2");
+    // a report artifact is not a sweep: usage error, not a violation
+    let (p, report) = tmp("not-a-sweep.json");
+    std::fs::write(&p, "{\"completion_cycles\":10}").unwrap();
+    let out = run_cli(&["diff", &baseline("BENCH_table2.json"), &report, "--gate"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("cannot diff a sweep artifact"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(p).ok();
 }
 
 #[test]

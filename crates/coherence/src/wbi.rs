@@ -1,4 +1,6 @@
-//! The write-back-invalidate (MSI) directory protocol for one block.
+//! The write-back-invalidate (MSI) directory protocol for one block: the
+//! paper's baseline, and the substrate of its TTS spin locks and software
+//! barrier flag.
 //!
 //! A blocking home directory: at most one transaction is in flight per
 //! block; requests arriving in the meantime are queued in arrival order.
@@ -17,6 +19,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use ssmp_core::addr::NodeId;
 use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+
+use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
 
 /// Directory state for the block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,54 +81,6 @@ pub enum WbiKind {
     /// (Former) owner → home: fetch arrived after the line was replaced;
     /// memory is already up to date.
     WbRace,
-}
-
-/// A WBI protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WbiMsg {
-    /// Sender.
-    pub src: Endpoint,
-    /// Receiver.
-    pub dst: Endpoint,
-    /// Payload words.
-    pub words: u32,
-    /// Protocol content.
-    pub kind: WbiKind,
-}
-
-/// Externally visible effects, consumed by the machine simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WbiEffect {
-    /// A shared copy arrived at `node`.
-    FilledShared {
-        /// Receiving node.
-        node: NodeId,
-        /// Block contents.
-        data: BlockData,
-    },
-    /// An exclusive copy arrived at `node`; the pending store may proceed.
-    FilledExcl {
-        /// Receiving node.
-        node: NodeId,
-        /// Block contents.
-        data: BlockData,
-    },
-    /// Ownership arrived without data (requester already had the block).
-    UpgradeGranted {
-        /// Receiving node.
-        node: NodeId,
-    },
-    /// The node's copy was invalidated (write elsewhere). Spinning
-    /// processors re-read on this signal.
-    Invalidated {
-        /// The invalidated node.
-        node: NodeId,
-    },
-    /// The node's dirty copy was downgraded to shared (read elsewhere).
-    Downgraded {
-        /// The downgraded node.
-        node: NodeId,
-    },
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -207,27 +163,12 @@ impl WbiBlock {
         b
     }
 
-    /// Evictions the sharer limit has forced so far.
-    pub fn dir_evictions(&self) -> u64 {
-        self.dir_evictions
+    fn ctl(src: Endpoint, dst: Endpoint, kind: WbiKind) -> CohMsg {
+        CohMsg::ctl(src, dst, CohKind::Wbi(kind))
     }
 
-    fn ctl(src: Endpoint, dst: Endpoint, kind: WbiKind) -> WbiMsg {
-        WbiMsg {
-            src,
-            dst,
-            words: 1,
-            kind,
-        }
-    }
-
-    fn blk(&self, src: Endpoint, dst: Endpoint, kind: WbiKind) -> WbiMsg {
-        WbiMsg {
-            src,
-            dst,
-            words: self.block_words as u32,
-            kind,
-        }
+    fn blk(&self, src: Endpoint, dst: Endpoint, kind: WbiKind) -> CohMsg {
+        CohMsg::blk(src, dst, self.block_words, CohKind::Wbi(kind))
     }
 
     /// The authoritative memory copy (may be stale while a line is
@@ -246,80 +187,11 @@ impl WbiBlock {
         self.lines.get(&node).map(|l| l.state)
     }
 
-    /// True if the directory is mid-transaction on this block.
-    pub fn is_busy(&self) -> bool {
-        self.busy.is_some()
-    }
-
-    /// Local read hit: returns the word if the node has any valid copy.
-    pub fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
-        self.lines.get(&node).map(|l| l.data.get(word))
-    }
-
-    /// Local write hit: performs the store iff the node holds the line
-    /// Modified. Returns whether it hit.
-    pub fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool {
-        match self.lines.get_mut(&node) {
-            Some(l) if l.state == LineState::Modified => {
-                l.data.set(word, value);
-                true
-            }
-            Some(l) if l.state == LineState::Exclusive => {
-                // MESI: the silent E -> M transition; no directory traffic.
-                l.state = LineState::Modified;
-                l.data.set(word, value);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Atomic read-modify-write, valid only with the line held Modified
-    /// (the machine first obtains ownership via `WriteReq`). Returns the
-    /// old value.
-    pub fn fetch_and_store(&mut self, node: NodeId, word: u8, value: u64) -> Option<u64> {
-        match self.lines.get_mut(&node) {
-            Some(l) if matches!(l.state, LineState::Modified | LineState::Exclusive) => {
-                l.state = LineState::Modified;
-                let old = l.data.get(word);
-                l.data.set(word, value);
-                Some(old)
-            }
-            _ => None,
-        }
-    }
-
-    /// Processor read miss.
-    pub fn read_req(&mut self, node: NodeId) -> Vec<WbiMsg> {
-        debug_assert!(
-            !self.lines.contains_key(&node),
-            "read request with a valid line"
-        );
-        vec![Self::ctl(
-            Endpoint::Node(node),
-            Endpoint::Dir,
-            WbiKind::ReadReq,
-        )]
-    }
-
-    /// Processor write miss or upgrade.
-    pub fn write_req(&mut self, node: NodeId) -> Vec<WbiMsg> {
-        debug_assert!(
-            self.line_state(node) != Some(LineState::Modified),
-            "write request while already owner"
-        );
-        vec![Self::ctl(
-            Endpoint::Node(node),
-            Endpoint::Dir,
-            WbiKind::WriteReq,
-        )]
-    }
-
     /// The node replaces its line. Dirty lines emit a write-back (memory is
     /// updated immediately — monotone freshness — with the directory state
     /// transition applied when the message arrives); shared lines are
     /// dropped silently.
-    pub fn replace(&mut self, node: NodeId) -> Vec<WbiMsg> {
+    pub fn replace(&mut self, node: NodeId) -> Vec<CohMsg> {
         match self.lines.remove(&node) {
             Some(l) if l.state == LineState::Modified => {
                 self.mem = l.data;
@@ -334,19 +206,8 @@ impl WbiBlock {
         }
     }
 
-    /// Delivers a protocol message.
-    pub fn deliver(&mut self, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
-        match msg.dst {
-            Endpoint::Dir => self.deliver_at_dir(msg),
-            Endpoint::Node(n) => self.deliver_at_node(n, msg),
-        }
-    }
-
-    fn deliver_at_dir(&mut self, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
-        let Endpoint::Node(src) = msg.src else {
-            panic!("directory message from directory: {msg:?}")
-        };
-        match msg.kind {
+    fn deliver_at_dir(&mut self, src: NodeId, kind: WbiKind) -> (Vec<CohMsg>, Vec<CohEffect>) {
+        match kind {
             WbiKind::ReadReq => self.begin_or_queue(src, Txn::Read),
             WbiKind::WriteReq => {
                 let had = self.line_state(src) == Some(LineState::Shared);
@@ -459,7 +320,7 @@ impl WbiBlock {
         }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
+    fn begin_or_queue(&mut self, node: NodeId, txn: Txn) -> (Vec<CohMsg>, Vec<CohEffect>) {
         if self.busy.is_some() {
             self.queue.push_back((node, txn));
             return (vec![], vec![]);
@@ -467,7 +328,7 @@ impl WbiBlock {
         (self.begin(node, txn), vec![])
     }
 
-    fn begin(&mut self, node: NodeId, txn: Txn) -> Vec<WbiMsg> {
+    fn begin(&mut self, node: NodeId, txn: Txn) -> Vec<CohMsg> {
         match txn {
             // A queued ReadEvict restarts as a plain read against the
             // current state (the eviction may no longer be necessary).
@@ -565,7 +426,7 @@ impl WbiBlock {
         }
     }
 
-    fn grant_excl(&mut self, node: NodeId, upgrade: bool) -> WbiMsg {
+    fn grant_excl(&mut self, node: NodeId, upgrade: bool) -> CohMsg {
         self.dir = DirState::Modified(node);
         if upgrade {
             Self::ctl(
@@ -582,7 +443,7 @@ impl WbiBlock {
         }
     }
 
-    fn pump_queue(&mut self) -> Vec<WbiMsg> {
+    fn pump_queue(&mut self) -> Vec<CohMsg> {
         let mut out = Vec::new();
         while self.busy.is_none() {
             let Some((node, mut txn)) = self.queue.pop_front() else {
@@ -600,8 +461,8 @@ impl WbiBlock {
         out
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, msg: WbiMsg) -> (Vec<WbiMsg>, Vec<WbiEffect>) {
-        match msg.kind {
+    fn deliver_at_node(&mut self, node: NodeId, kind: WbiKind) -> (Vec<CohMsg>, Vec<CohEffect>) {
+        match kind {
             WbiKind::DataShared => {
                 let data = self.mem.clone();
                 self.lines.insert(
@@ -611,7 +472,7 @@ impl WbiBlock {
                         data: data.clone(),
                     },
                 );
-                (vec![], vec![WbiEffect::FilledShared { node, data }])
+                (vec![], vec![CohEffect::FilledShared { node, data }])
             }
             WbiKind::DataExclClean => {
                 let data = self.mem.clone();
@@ -623,14 +484,14 @@ impl WbiBlock {
                     },
                 );
                 // a read completes exactly like a shared fill
-                (vec![], vec![WbiEffect::FilledShared { node, data }])
+                (vec![], vec![CohEffect::FilledShared { node, data }])
             }
             WbiKind::DataExcl { upgrade } => {
                 if upgrade {
                     match self.lines.get_mut(&node) {
                         Some(l) => {
                             l.state = LineState::Modified;
-                            (vec![], vec![WbiEffect::UpgradeGranted { node }])
+                            (vec![], vec![CohEffect::UpgradeGranted { node }])
                         }
                         // Unreachable on a fault-free network, but a
                         // delay-injected invalidation can overtake the
@@ -645,7 +506,7 @@ impl WbiBlock {
                                     data: data.clone(),
                                 },
                             );
-                            (vec![], vec![WbiEffect::FilledExcl { node, data }])
+                            (vec![], vec![CohEffect::FilledExcl { node, data }])
                         }
                     }
                 } else {
@@ -657,13 +518,13 @@ impl WbiBlock {
                             data: data.clone(),
                         },
                     );
-                    (vec![], vec![WbiEffect::FilledExcl { node, data }])
+                    (vec![], vec![CohEffect::FilledExcl { node, data }])
                 }
             }
             WbiKind::Inv => {
                 let had = self.lines.remove(&node).is_some();
                 let effects = if had {
-                    vec![WbiEffect::Invalidated { node }]
+                    vec![CohEffect::Invalidated { node }]
                 } else {
                     vec![] // spurious Inv after silent replacement
                 };
@@ -686,7 +547,7 @@ impl WbiBlock {
                             Endpoint::Dir,
                             WbiKind::OwnerData { downgrade: true },
                         )],
-                        vec![WbiEffect::Downgraded { node }],
+                        vec![CohEffect::Downgraded { node }],
                     )
                 }
                 None => (
@@ -707,7 +568,7 @@ impl WbiBlock {
                             Endpoint::Dir,
                             WbiKind::OwnerData { downgrade: false },
                         )],
-                        vec![WbiEffect::Invalidated { node }],
+                        vec![CohEffect::Invalidated { node }],
                     )
                 }
                 None => (
@@ -722,10 +583,89 @@ impl WbiBlock {
             other => panic!("node cannot handle {other:?}"),
         }
     }
+}
 
-    /// Protocol invariant, valid at quiescence: directory state matches the
-    /// actual line states.
-    pub fn check_quiescent(&self) -> Result<(), String> {
+impl CoherenceProtocol for WbiBlock {
+    fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
+        self.lines.get(&node).map(|l| l.data.get(word))
+    }
+
+    /// Hits iff the node holds the line Modified, or Exclusive-clean
+    /// (the silent E -> M upgrade of the MESI extension).
+    fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool {
+        match self.lines.get_mut(&node) {
+            Some(l) if matches!(l.state, LineState::Modified | LineState::Exclusive) => {
+                l.state = LineState::Modified;
+                l.data.set(word, value);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
+        debug_assert!(
+            !self.lines.contains_key(&node),
+            "read request with a valid line"
+        );
+        vec![Self::ctl(
+            Endpoint::Node(node),
+            Endpoint::Dir,
+            WbiKind::ReadReq,
+        )]
+    }
+
+    fn write_req(&mut self, node: NodeId, _word: u8, _value: u64) -> Vec<CohMsg> {
+        debug_assert!(
+            self.line_state(node) != Some(LineState::Modified),
+            "write request while already owner"
+        );
+        vec![Self::ctl(
+            Endpoint::Node(node),
+            Endpoint::Dir,
+            WbiKind::WriteReq,
+        )]
+    }
+
+    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+        let CohKind::Wbi(kind) = msg.kind else {
+            panic!("WBI backend delivered a foreign message: {:?}", msg.kind);
+        };
+        match (msg.src, msg.dst) {
+            (Endpoint::Node(src), Endpoint::Dir) => self.deliver_at_dir(src, kind),
+            (_, Endpoint::Node(n)) => self.deliver_at_node(n, kind),
+            (Endpoint::Dir, Endpoint::Dir) => panic!("directory message from directory: {msg:?}"),
+        }
+    }
+
+    fn coherent_word(&self, word: u8) -> u64 {
+        match self.dir {
+            DirState::Modified(o) => self
+                .local_read(o, word)
+                .unwrap_or_else(|| self.mem.get(word)),
+            _ => self.mem.get(word),
+        }
+    }
+
+    fn owner(&self) -> Option<NodeId> {
+        match self.dir {
+            DirState::Modified(o) => Some(o),
+            _ => None,
+        }
+    }
+
+    fn sharers(&self) -> Vec<NodeId> {
+        match &self.dir {
+            DirState::Shared(s) => s.iter().copied().collect(),
+            _ => Vec::new(),
+        }
+    }
+
+    fn dir_evictions(&self) -> u64 {
+        self.dir_evictions
+    }
+
+    fn check_quiescent(&self) -> Result<(), String> {
         if self.busy.is_some() || !self.queue.is_empty() {
             return Err("transaction still in flight".into());
         }
@@ -763,8 +703,7 @@ impl WbiBlock {
         Ok(())
     }
 
-    /// Single-writer invariant, valid at all times.
-    pub fn check_single_writer(&self) -> Result<(), String> {
+    fn check_single_writer(&self) -> Result<(), String> {
         let writers = self
             .lines
             .values()
@@ -778,6 +717,14 @@ impl WbiBlock {
         }
         Ok(())
     }
+
+    fn swmr_invariant(&self) -> &'static str {
+        "wbi.swmr"
+    }
+
+    fn quiescent_invariant(&self) -> &'static str {
+        "wbi.quiescent"
+    }
 }
 
 #[cfg(test)]
@@ -787,8 +734,8 @@ mod tests {
 
     struct Harness {
         b: WbiBlock,
-        wire: VecDeque<WbiMsg>,
-        effects: Vec<WbiEffect>,
+        wire: VecDeque<CohMsg>,
+        effects: Vec<CohEffect>,
         messages: usize,
     }
 
@@ -802,7 +749,7 @@ mod tests {
             }
         }
 
-        fn send(&mut self, msgs: Vec<WbiMsg>) {
+        fn send(&mut self, msgs: Vec<CohMsg>) {
             self.messages += msgs.len();
             self.wire.extend(msgs);
         }
@@ -827,7 +774,7 @@ mod tests {
             if self.b.local_write(n, word, v) {
                 return;
             }
-            let m = self.b.write_req(n);
+            let m = self.b.write_req(n, word, v);
             self.send(m);
             self.drain();
             assert!(self.b.local_write(n, word, v), "store after ownership");
@@ -859,7 +806,7 @@ mod tests {
             .effects
             .iter()
             .filter_map(|e| match e {
-                WbiEffect::Invalidated { node } => Some(*node),
+                CohEffect::Invalidated { node } => Some(*node),
                 _ => None,
             })
             .collect();
@@ -879,7 +826,7 @@ mod tests {
         assert!(h
             .effects
             .iter()
-            .any(|e| matches!(e, WbiEffect::UpgradeGranted { node: 0 })));
+            .any(|e| matches!(e, CohEffect::UpgradeGranted { node: 0 })));
         assert_eq!(h.b.dir_state(), &DirState::Modified(0));
     }
 
@@ -905,11 +852,11 @@ mod tests {
         assert!(h
             .effects
             .iter()
-            .any(|e| matches!(e, WbiEffect::Downgraded { node: 0 })));
+            .any(|e| matches!(e, CohEffect::Downgraded { node: 0 })));
         // reader sees the dirty value
         assert!(matches!(
-            h.effects.iter().find(|e| matches!(e, WbiEffect::FilledShared { node: 1, .. })),
-            Some(WbiEffect::FilledShared { data, .. }) if data.get(2) == 42
+            h.effects.iter().find(|e| matches!(e, CohEffect::FilledShared { node: 1, .. })),
+            Some(CohEffect::FilledShared { data, .. }) if data.get(2) == 42
         ));
         h.b.check_quiescent().unwrap();
     }
@@ -940,8 +887,8 @@ mod tests {
         h.effects.clear();
         h.read(1);
         assert!(matches!(
-            h.effects.iter().find(|e| matches!(e, WbiEffect::FilledShared { node: 1, .. })),
-            Some(WbiEffect::FilledShared { data, .. }) if data.get(3) == 8
+            h.effects.iter().find(|e| matches!(e, CohEffect::FilledShared { node: 1, .. })),
+            Some(CohEffect::FilledShared { data, .. }) if data.get(3) == 8
         ));
     }
 
@@ -960,7 +907,7 @@ mod tests {
             .effects
             .iter()
             .filter_map(|e| match e {
-                WbiEffect::Invalidated { node } => Some(*node),
+                CohEffect::Invalidated { node } => Some(*node),
                 _ => None,
             })
             .collect();
@@ -996,7 +943,7 @@ mod tests {
         // Two reads and a write arrive while the dirty fetch is pending.
         let r1 = h.b.read_req(1);
         let r2 = h.b.read_req(2);
-        let w3 = h.b.write_req(3);
+        let w3 = h.b.write_req(3, 0, 9);
         // deliver all requests first (directory queues 2 of them)
         h.send(r1);
         h.send(r2);
@@ -1011,7 +958,7 @@ mod tests {
             .effects
             .iter()
             .filter_map(|e| match e {
-                WbiEffect::FilledShared { node, .. } => Some(*node),
+                CohEffect::FilledShared { node, .. } => Some(*node),
                 _ => None,
             })
             .collect();
@@ -1042,12 +989,20 @@ mod tests {
     }
 
     #[test]
-    fn rmw_requires_ownership() {
+    fn test_and_set_requires_ownership() {
+        // the machine's TTS test-and-set is a local read then a local
+        // write of word 0, which only a writable copy accepts
         let mut h = Harness::new();
-        assert_eq!(h.b.fetch_and_store(0, 0, 1), None);
+        h.read(0);
+        assert_eq!(h.b.local_read(0, 0), Some(0));
+        assert!(
+            !h.b.local_write(0, 0, 1),
+            "a shared copy cannot test-and-set"
+        );
         h.write(0, 0, 5);
-        assert_eq!(h.b.fetch_and_store(0, 0, 6), Some(5));
-        assert_eq!(h.b.local_read(0, 0), Some(6));
+        assert_eq!(h.b.local_read(0, 0), Some(5));
+        assert!(h.b.local_write(0, 0, 6));
+        assert_eq!(h.b.line_state(0), Some(LineState::Modified));
     }
 
     proptest::proptest! {
@@ -1097,7 +1052,7 @@ mod limited_dir_tests {
 
     struct H {
         b: WbiBlock,
-        wire: VecDeque<WbiMsg>,
+        wire: VecDeque<CohMsg>,
         invalidated: Vec<NodeId>,
     }
 
@@ -1122,7 +1077,7 @@ mod limited_dir_tests {
                 self.b.check_single_writer().unwrap();
                 self.wire.extend(ms);
                 for e in eff {
-                    if let WbiEffect::Invalidated { node } = e {
+                    if let CohEffect::Invalidated { node } = e {
                         self.invalidated.push(node);
                     }
                 }
@@ -1190,7 +1145,7 @@ mod limited_dir_tests {
         let mut h = H::new(2);
         h.read(0);
         h.read(1);
-        let m = h.b.write_req(2);
+        let m = h.b.write_req(2, 0, 9);
         h.wire.extend(m);
         h.drain();
         assert!(h.b.local_write(2, 0, 9));
@@ -1205,7 +1160,7 @@ mod mesi_tests {
 
     struct H {
         b: WbiBlock,
-        wire: VecDeque<WbiMsg>,
+        wire: VecDeque<CohMsg>,
         messages: usize,
     }
 
@@ -1222,7 +1177,7 @@ mod mesi_tests {
             }
         }
 
-        fn send(&mut self, msgs: Vec<WbiMsg>) {
+        fn send(&mut self, msgs: Vec<CohMsg>) {
             self.messages += msgs.len();
             self.wire.extend(msgs);
             while let Some(m) = self.wire.pop_front() {
@@ -1263,7 +1218,7 @@ mod mesi_tests {
             !h.b.local_write(0, 1, 42),
             "MSI shared line cannot be written"
         );
-        let m = h.b.write_req(0);
+        let m = h.b.write_req(0, 1, 42);
         h.send(m); // upgrade round trip
         assert!(h.b.local_write(0, 1, 42));
     }
@@ -1275,7 +1230,7 @@ mod mesi_tests {
             let m = h.b.read_req(0);
             h.send(m);
             if !h.b.local_write(0, 0, 1) {
-                let m = h.b.write_req(0);
+                let m = h.b.write_req(0, 0, 1);
                 h.send(m);
                 assert!(h.b.local_write(0, 0, 1));
             }

@@ -7,7 +7,7 @@
 //! - `ssmp run --json` reports (counters, stall breakdown, embedded
 //!   profile/span documents),
 //! - `ssmp-sweep-v1` sweeps, point-aligned by scenario label, with the
-//!   perfguard key classes (exact / speedup-floor / informational) applied
+//!   gate's key classes (exact / speedup-floor / informational) applied
 //!   as diff policies,
 //! - `ssmp-profile-v1` profiles: stall-attribution *movement* tables that
 //!   preserve the exact-sum invariant on both sides (busy + the seven
@@ -29,7 +29,7 @@ use ssmp_engine::Json;
 pub const SCHEMA: &str = "ssmp-diff-v1";
 
 // ---------------------------------------------------------------------------
-// Key classification policy (perfguard's classes, now diff policies)
+// Key classification policy for sweep gating
 // ---------------------------------------------------------------------------
 
 /// How one sweep measurement key is judged when diffing against a baseline.
@@ -46,7 +46,7 @@ pub enum KeyClass {
     Informational,
 }
 
-/// Classifies a sweep measurement key (the perfguard rule, verbatim):
+/// Classifies a sweep measurement key:
 /// `*_secs` / `*_per_sec` are informational, `speedup` has a floor,
 /// everything else is exact.
 pub fn classify(key: &str) -> KeyClass {
@@ -60,8 +60,7 @@ pub fn classify(key: &str) -> KeyClass {
 }
 
 /// Diff gating policy: the tolerance band for [`KeyClass::SpeedupFloor`]
-/// keys. The default 0.5 matches perfguard's historical default (the
-/// wheel-vs-heap speedup may sag to half its recorded value).
+/// keys. The default 0.5 lets a speedup sag to half its recorded value.
 #[derive(Debug, Clone, Copy)]
 pub struct DiffPolicy {
     /// Fractional sag allowed below a speedup baseline before the key is
@@ -1102,7 +1101,7 @@ pub enum Verdict {
 }
 
 impl Verdict {
-    /// The table label perfguard has always printed.
+    /// The verdict label of the gate's delta table.
     pub fn label(&self) -> &'static str {
         match self {
             Verdict::Ok => "ok",
@@ -1156,7 +1155,7 @@ pub struct SweepDiff {
 
 impl SweepDiff {
     /// Diffs two parsed sweeps under a policy. `b_name` labels the
-    /// comparison side in violation messages (perfguard's wording).
+    /// comparison side in violation messages.
     pub fn between(a: &SweepView, b: &SweepView, b_name: &str, policy: &DiffPolicy) -> SweepDiff {
         let mut out = SweepDiff::default();
         let tolerance = policy.tolerance;
@@ -1244,7 +1243,7 @@ impl SweepDiff {
             + (self.missing_points.len() + self.new_points.len() + self.missing_keys.len()) as u64
     }
 
-    /// The perfguard delta table: one row per aligned value, with the
+    /// The gate's delta table: one row per aligned value, with the
     /// historical column layout and verdict labels.
     pub fn render_guard(&self) -> String {
         let mut s = String::new();
@@ -1380,7 +1379,7 @@ impl Diff {
         self.changed_count() == 0
     }
 
-    /// Policy violations for gating. Sweeps gate on the perfguard classes;
+    /// Policy violations for gating. Sweeps gate on the key classes;
     /// the other kinds gate on strict identity (their quantities are all
     /// deterministic simulation products).
     pub fn violations(&self) -> Vec<String> {

@@ -88,11 +88,11 @@ fn diff_of(a: &str, b: &str) -> Diff {
 }
 
 // -------------------------------------------------------------------------
-// Key classification (the perfguard rule, now a diff policy)
+// Key classification (the sweep gate's rule)
 // -------------------------------------------------------------------------
 
 #[test]
-fn classify_matches_perfguard_rule() {
+fn classify_matches_gate_rule() {
     assert_eq!(classify("build_secs"), KeyClass::Informational);
     assert_eq!(classify("events_per_sec"), KeyClass::Informational);
     assert_eq!(classify("speedup"), KeyClass::SpeedupFloor);
@@ -198,7 +198,7 @@ fn lock_dominant_handoff_and_latency_shift() {
 }
 
 // -------------------------------------------------------------------------
-// Sweep gating: the perfguard verdicts, verbatim
+// Sweep gating verdicts
 // -------------------------------------------------------------------------
 
 #[test]

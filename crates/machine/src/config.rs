@@ -157,22 +157,6 @@ pub enum BarrierScheme {
     Sw,
 }
 
-/// Event-queue implementation backing the machine's scheduler.
-///
-/// Both pop in identical order (nondecreasing time, FIFO within a cycle —
-/// property-verified), so the choice affects wall-clock speed only, never
-/// simulated behavior: reports are byte-identical either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Timing wheel (calendar queue) — the default; wins when event times
-    /// are dense and near the present, the common case in this simulator.
-    #[default]
-    Wheel,
-    /// Binary heap — the `--queue heap` escape hatch for A/B runs and as
-    /// the reference ordering.
-    Heap,
-}
-
 /// How private references are modelled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrivateMode {
@@ -252,9 +236,6 @@ pub struct MachineConfig {
     /// queue lengths, RIC list sizes, per-cause stall counts) every this
     /// many cycles into the report's `metrics` series (`None` = off).
     pub metrics_interval: Option<Cycle>,
-    /// Event-queue implementation (timing wheel by default; identical
-    /// simulated behavior either way).
-    pub queue: QueueKind,
     /// Deliberately planted protocol bug (`None` = correct protocol).
     /// Only the fuzzer's self-test and CI regression arm this.
     pub planted_bug: Option<PlantedBug>,
@@ -294,7 +275,6 @@ impl MachineConfig {
             fault: None,
             retry: RetryPolicy::default(),
             metrics_interval: None,
-            queue: QueueKind::default(),
             planted_bug: None,
         }
     }

@@ -31,7 +31,7 @@ pub mod report;
 
 pub use config::{
     BarrierScheme, ConfigError, DataScheme, LockScheme, MachineConfig, PlantedBug, PrivateMode,
-    QueueKind, RetryPolicy,
+    RetryPolicy,
 };
 pub use machine::{Machine, MachineBuilder};
 pub use op::{LockId, Op, Workload};

@@ -24,6 +24,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ssmp_coherence::{
     CohEffect, CohKind, CohMsg, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind,
+    WbiBlock, WbiKind,
 };
 use ssmp_core::addr::{BlockId, NodeId};
 use ssmp_core::barrier::{BarEffect, BarKind, BarMsg, HwBarrier};
@@ -35,16 +36,15 @@ use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind, SemMsg};
 use ssmp_core::wbuf::Enqueue;
 use ssmp_engine::trace::{Family, Kind, TraceEvent, Tracer};
 use ssmp_engine::{
-    CounterId, CounterSet, Cycle, EventQueue, Histogram, IntervalSeries, Scheduled, SimRng,
-    Watchdog, WatchdogVerdict, WheelQueue,
+    CounterId, CounterSet, Cycle, Histogram, IntervalSeries, SimRng, Watchdog, WatchdogVerdict,
+    WheelQueue,
 };
 use ssmp_mem::{MemModule, PrivAccess, PrivCache, PrivateModel, PrivateOutcome};
 use ssmp_net::{FaultDecision, FaultPlan, FaultyInterconnect, Interconnect, MsgDir, MsgKind};
-use ssmp_wbi::{Backoff, WbiBlock, WbiEffect, WbiKind, WbiMsg};
+use ssmp_wbi::Backoff;
 
 use crate::config::{
     BarrierScheme, ConfigError, DataScheme, LockScheme, MachineConfig, PlantedBug, PrivateMode,
-    QueueKind,
 };
 use crate::node::{MicroOp, Node, SpinTarget, SyncCtx, TtsPhase, Waiting};
 use crate::op::{LockId, Op, Workload};
@@ -78,18 +78,13 @@ enum Proto {
         block: BlockId,
         msg: RicMsg,
     },
-    /// Shared-data coherence traffic, whatever the configured backend
-    /// (WBI directory, snooping MESI, or Dragon — see [`DataScheme`]).
+    /// Coherence traffic of one line of [`Machine::coh`]: a shared-data
+    /// block under the configured backend (WBI directory, snooping MESI,
+    /// or Dragon — see [`DataScheme`]), or a WBI lock block or the
+    /// barrier flag (see [`Line`]).
     Coh {
-        block: BlockId,
+        line: usize,
         msg: CohMsg,
-    },
-    WbiLock {
-        lock: LockId,
-        msg: WbiMsg,
-    },
-    WbiFlag {
-        msg: WbiMsg,
     },
     Bar {
         msg: BarMsg,
@@ -130,13 +125,18 @@ struct PendingReq {
     msgs: Vec<(u64, Proto)>,
 }
 
-/// Which WBI controller a sync-substrate effect belongs to. Shared data
-/// blocks go through the [`CoherenceProtocol`] trait instead (see
-/// [`Machine::apply_coh_effects`]); WBI remains the fixed substrate for
-/// TTS lock blocks and the software barrier's release flag.
+/// What a line of [`Machine::coh`] holds. The kind decides the line's
+/// home module and fault-plan [`MsgKind`], which waiters its effects wake,
+/// and whether the data observers (read log, value oracle, heatmap,
+/// end-of-run views) see it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WbiCtx {
+enum Line {
+    /// A shared-data block; its line index is its block id.
+    Data(BlockId),
+    /// A TTS lock block: word 0 is the lock variable, the remaining words
+    /// hold the lock-governed data.
     Lock(LockId),
+    /// The software barrier's release flag.
     Flag,
 }
 
@@ -146,78 +146,25 @@ enum WbiCtx {
 /// slower) overflow path.
 const WHEEL_SLOTS: usize = 1024;
 
-/// The machine's event queue: a timing wheel by default, a binary heap as
-/// the `--queue heap` escape hatch. Both pop in identical order
-/// (nondecreasing time, FIFO within a cycle — property-verified), so the
-/// choice affects wall-clock speed only, never simulated behavior.
-enum Queue {
-    Heap(EventQueue<Ev>),
-    Wheel(WheelQueue<Ev>),
-}
-
-impl Queue {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => Queue::Heap(EventQueue::new()),
-            QueueKind::Wheel => Queue::Wheel(WheelQueue::new(WHEEL_SLOTS)),
-        }
-    }
-
-    #[inline]
-    fn now(&self) -> Cycle {
-        match self {
-            Queue::Heap(q) => q.now(),
-            Queue::Wheel(q) => q.now(),
-        }
-    }
-
-    #[inline]
-    fn schedule(&mut self, at: Cycle, event: Ev) {
-        match self {
-            Queue::Heap(q) => q.schedule(at, event),
-            Queue::Wheel(q) => q.schedule(at, event),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Scheduled<Ev>> {
-        match self {
-            Queue::Heap(q) => q.pop(),
-            Queue::Wheel(q) => q.pop(),
-        }
-    }
-
-    #[inline]
-    fn popped(&self) -> u64 {
-        match self {
-            Queue::Heap(q) => q.popped(),
-            Queue::Wheel(q) => q.popped(),
-        }
-    }
-}
-
 /// The assembled machine.
 pub struct Machine {
     cfg: MachineConfig,
-    events: Queue,
+    events: WheelQueue<Ev>,
     net: FaultyInterconnect,
     mems: Vec<MemModule>,
     nodes: Vec<Node>,
     /// RIC controllers for shared data blocks (DataScheme::Ric).
     ric: Vec<UpdateList>,
-    /// Coherence backends for shared data blocks (every non-RIC
-    /// [`DataScheme`]): the WBI directory, snooping MESI, or Dragon,
-    /// behind the one [`CoherenceProtocol`] trait.
+    /// The coherence line table, behind the one [`CoherenceProtocol`]
+    /// trait: one line per shared-data block (the WBI directory, snooping
+    /// MESI, or Dragon; a quiescent WBI line under RIC), then one WBI
+    /// line per TTS lock, then the software barrier's release flag. See
+    /// [`Line`].
     coh: Vec<Box<dyn CoherenceProtocol>>,
     /// CBL lock queues (LockScheme::Cbl).
     cbl: Vec<LockQueue>,
     /// Contents of CBL lock blocks (travel with the grant).
     lock_data: Vec<BlockData>,
-    /// WBI controllers for lock blocks (TTS schemes). Word 0 is the lock
-    /// variable; the remaining words hold the lock-governed data.
-    wbi_locks: Vec<WbiBlock>,
-    /// WBI controller for the software barrier's release flag.
-    flag: WbiBlock,
     swbar: ssmp_wbi::SwBarrier,
     hwbar: HwBarrier,
     /// Hardware counting semaphores (paper §2's P/V, built like the
@@ -385,13 +332,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Selects the event-queue implementation (timing wheel by default).
-    /// Both produce byte-identical reports; see [`QueueKind`].
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.cfg.queue = kind;
-        self
-    }
-
     /// Selects the shared-data coherence protocol, overriding whatever the
     /// preset chose: the paper's reader-initiated scheme, the WBI
     /// directory, snooping MESI, or Dragon. See [`DataScheme`].
@@ -542,7 +482,7 @@ impl Machine {
                     match cfg.data {
                         DataScheme::Mesi => Box::new(MesiBlock::new(bw, n)),
                         DataScheme::Dragon => Box::new(DragonBlock::new(bw)),
-                        // RIC keeps a (quiescent) WBI vec too so block
+                        // RIC keeps (quiescent) WBI data lines too so line
                         // indexing stays uniform across schemes.
                         DataScheme::Ric | DataScheme::Wbi => {
                             Box::new(match (cfg.wbi_sharer_limit, cfg.wbi_mesi) {
@@ -553,11 +493,14 @@ impl Machine {
                         }
                     }
                 })
+                // the lock lines, then the barrier flag
+                .chain(
+                    (0..=locks)
+                        .map(|_| -> Box<dyn CoherenceProtocol> { Box::new(WbiBlock::new(bw)) }),
+                )
                 .collect(),
             cbl: (0..locks).map(|_| LockQueue::new(bw as u32)).collect(),
             lock_data: (0..locks).map(|_| BlockData::new(bw)).collect(),
-            wbi_locks: (0..locks).map(|_| WbiBlock::new(bw)).collect(),
-            flag: WbiBlock::new(bw),
             swbar: ssmp_wbi::SwBarrier::new(n),
             hwbar: if cfg.hw_tree_barrier {
                 HwBarrier::with_tree_release(n)
@@ -612,13 +555,40 @@ impl Machine {
                     series: IntervalSeries::new(iv, METRIC_COLUMNS.to_vec()),
                 }
             }),
-            events: Queue::new(cfg.queue),
+            events: WheelQueue::new(WHEEL_SLOTS),
             cfg,
         })
     }
 
     fn now(&self) -> Cycle {
         self.events.now()
+    }
+
+    /// Number of shared-data lines. They come first in [`Machine::coh`],
+    /// so a data block's line index is its block id.
+    fn data_lines(&self) -> usize {
+        self.cfg.geometry.shared_blocks
+    }
+
+    /// The line of TTS lock `lock`.
+    fn lock_line(&self, lock: LockId) -> usize {
+        self.data_lines() + lock
+    }
+
+    /// The line of the software barrier's release flag (the last one).
+    fn flag_line(&self) -> usize {
+        self.coh.len() - 1
+    }
+
+    /// What line `line` holds.
+    fn line(&self, line: usize) -> Line {
+        if line < self.data_lines() {
+            Line::Data(line)
+        } else if line < self.flag_line() {
+            Line::Lock(line - self.data_lines())
+        } else {
+            Line::Flag
+        }
     }
 
     /// Draws a fresh write stamp for `node`: `(node + 1) << 40 | counter`.
@@ -801,75 +771,57 @@ impl Machine {
         });
     }
 
-    /// Per-line owner/sharers summary from the authoritative directory
-    /// state plus the sanitizer's last-writer observations. Idle lines
-    /// nobody ever wrote are omitted.
+    /// Per-block owner/sharers summary of the shared data from the
+    /// authoritative directory state (RIC: the update list) plus the
+    /// sanitizer's last-writer observations. Idle blocks nobody ever wrote
+    /// are omitted.
     fn line_summaries(&self, checker: &ssmp_check::Checker) -> Vec<ssmp_check::LineSummary> {
         let mut out = Vec::new();
-        match self.cfg.data {
-            DataScheme::Ric => {
-                for (block, u) in self.ric.iter().enumerate() {
-                    let mut sharers = u.members_in_order();
-                    sharers.sort_unstable();
-                    let last_writer = checker.last_writer(block);
-                    if sharers.is_empty() && last_writer.is_none() {
-                        continue;
-                    }
-                    out.push(ssmp_check::LineSummary {
-                        block,
-                        owner: None,
-                        sharers,
-                        last_writer,
-                    });
+        for block in 0..self.data_lines() {
+            let (owner, sharers) = match self.cfg.data {
+                DataScheme::Ric => {
+                    let mut members = self.ric[block].members_in_order();
+                    members.sort_unstable();
+                    (None, members)
                 }
+                _ => (self.coh[block].owner(), self.coh[block].sharers()),
+            };
+            let last_writer = checker.last_writer(block);
+            if owner.is_none() && sharers.is_empty() && last_writer.is_none() {
+                continue;
             }
-            _ => {
-                for (block, b) in self.coh.iter().enumerate() {
-                    let owner = b.owner();
-                    let sharers = b.sharers();
-                    let last_writer = checker.last_writer(block);
-                    if owner.is_none() && sharers.is_empty() && last_writer.is_none() {
-                        continue;
-                    }
-                    out.push(ssmp_check::LineSummary {
-                        block,
-                        owner,
-                        sharers,
-                        last_writer,
-                    });
-                }
-            }
+            out.push(ssmp_check::LineSummary {
+                block,
+                owner,
+                sharers,
+                last_writer,
+            });
         }
         out
     }
 
     fn finish(mut self) -> Report {
         let net_stats = self.net.stats();
-        // Final coherent view of the shared region: under WBI a block's
-        // authoritative copy may still live in an owner's cache.
+        // Final coherent view of the shared region and the TTS lock
+        // blocks: a line's authoritative copy may still live in an owner's
+        // cache.
         let bw = self.cfg.geometry.block_words;
-        let wbi_view = |b: &WbiBlock| -> Vec<u64> {
-            if let ssmp_wbi::directory::DirState::Modified(o) = b.dir_state() {
-                (0..bw)
-                    .map(|w| b.local_read(*o, w).unwrap_or_else(|| b.mem().get(w)))
-                    .collect()
-            } else {
-                b.mem().words().to_vec()
-            }
+        let data = &self.coh[..self.data_lines()];
+        let view = |lines: &[Box<dyn CoherenceProtocol>]| -> Vec<Vec<u64>> {
+            lines
+                .iter()
+                .map(|b| (0..bw).map(|w| b.coherent_word(w)).collect())
+                .collect()
         };
         let shared_memory: Vec<Vec<u64>> = match self.cfg.data {
             DataScheme::Ric => self.ric.iter().map(|u| u.mem().words().to_vec()).collect(),
-            _ => self
-                .coh
-                .iter()
-                .map(|b| (0..bw).map(|w| b.coherent_word(w)).collect())
-                .collect(),
+            _ => view(data),
         };
         let lock_blocks: Vec<Vec<u64>> = match self.cfg.locks {
             LockScheme::Cbl => self.lock_data.iter().map(|d| d.words().to_vec()).collect(),
-            _ => self.wbi_locks.iter().map(wbi_view).collect(),
+            _ => view(&self.coh[self.data_lines()..self.flag_line()]),
         };
-        let dir_evictions: u64 = self.coh.iter().map(|b| b.dir_evictions()).sum();
+        let dir_evictions: u64 = data.iter().map(|b| b.dir_evictions()).sum();
         if dir_evictions > 0 {
             self.counters
                 .add_id(CounterId::WbiDirEvictions, dir_evictions);
@@ -922,7 +874,7 @@ impl Machine {
                         checker.ric_membership(block, &members, &cached, at);
                         checker.structural("ric.list", at, u.check_list());
                     }
-                    for b in &self.coh {
+                    for b in &self.coh[..self.data_lines()] {
                         checker.structural(b.swmr_invariant(), at, b.check_single_writer());
                         checker.structural(b.quiescent_invariant(), at, b.check_quiescent());
                     }
@@ -980,9 +932,11 @@ impl Machine {
         match p {
             Proto::Cbl { lock, .. } => lock % n,
             Proto::Ric { block, .. } => block % n,
-            Proto::Coh { block, .. } => block % n,
-            Proto::WbiLock { lock, .. } => lock % n,
-            Proto::WbiFlag { .. } => n - 1,
+            Proto::Coh { line, .. } => match self.line(*line) {
+                Line::Data(block) => block % n,
+                Line::Lock(lock) => lock % n,
+                Line::Flag => n - 1,
+            },
             Proto::Bar { .. } => 0,
             Proto::Sem { sem, .. } => (sem + 1) % n,
             Proto::PrivReq { home, .. }
@@ -996,8 +950,6 @@ impl Machine {
             Proto::Cbl { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::Ric { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::Coh { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::WbiLock { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::WbiFlag { msg } => (msg.src, msg.dst, msg.words),
             Proto::Bar { msg } => (msg.src, msg.dst, msg.words),
             Proto::Sem { msg, .. } => (msg.src, msg.dst, msg.words),
             Proto::PrivReq { node, .. } => (Endpoint::Node(*node), Endpoint::Dir, 1),
@@ -1015,13 +967,15 @@ impl Machine {
     }
 
     /// Protocol family of a message, for fault targeting.
-    fn msg_kind(p: &Proto) -> MsgKind {
+    fn msg_kind(&self, p: &Proto) -> MsgKind {
         match p {
             Proto::Cbl { .. } => MsgKind::Cbl,
             Proto::Ric { .. } => MsgKind::Ric,
-            Proto::Coh { .. } => MsgKind::WbiData,
-            Proto::WbiLock { .. } => MsgKind::WbiLock,
-            Proto::WbiFlag { .. } => MsgKind::WbiFlag,
+            Proto::Coh { line, .. } => match self.line(*line) {
+                Line::Data(_) => MsgKind::WbiData,
+                Line::Lock(_) => MsgKind::WbiLock,
+                Line::Flag => MsgKind::WbiFlag,
+            },
             Proto::Bar { .. } => MsgKind::Barrier,
             Proto::Sem { .. } => MsgKind::Semaphore,
             Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => {
@@ -1069,9 +1023,21 @@ impl Machine {
                 ssmp_core::ric::RicKind::HeadChange => CounterId::MsgRicHeadChange,
                 ssmp_core::ric::RicKind::Splice => CounterId::MsgRicSplice,
             },
-            Proto::WbiLock { msg, .. } | Proto::WbiFlag { msg } => Self::wbi_kind_key(msg.kind),
             Proto::Coh { msg, .. } => match msg.kind {
-                CohKind::Wbi(k) => Self::wbi_kind_key(k),
+                CohKind::Wbi(k) => match k {
+                    WbiKind::ReadReq => CounterId::MsgWbiReadReq,
+                    WbiKind::WriteReq => CounterId::MsgWbiWriteReq,
+                    WbiKind::DataShared => CounterId::MsgWbiDataShared,
+                    WbiKind::DataExclClean => CounterId::MsgWbiDataExclClean,
+                    WbiKind::DataExcl { .. } => CounterId::MsgWbiDataExcl,
+                    WbiKind::Inv => CounterId::MsgWbiInv,
+                    WbiKind::InvAck => CounterId::MsgWbiInvAck,
+                    WbiKind::FetchShared => CounterId::MsgWbiFetchShared,
+                    WbiKind::FetchExcl => CounterId::MsgWbiFetchExcl,
+                    WbiKind::OwnerData { .. } => CounterId::MsgWbiOwnerData,
+                    WbiKind::WriteBack => CounterId::MsgWbiWriteBack,
+                    WbiKind::WbRace => CounterId::MsgWbiWbRace,
+                },
                 CohKind::Mesi(k) => match k {
                     MesiKind::BusRd => CounterId::MsgMesiBusRd,
                     MesiKind::BusRdx => CounterId::MsgMesiBusRdx,
@@ -1117,25 +1083,6 @@ impl Machine {
         }
     }
 
-    /// Counter id of a WBI directory message, shared by the lock/flag
-    /// substrate and the WBI data backend behind [`Proto::Coh`].
-    fn wbi_kind_key(kind: WbiKind) -> CounterId {
-        match kind {
-            WbiKind::ReadReq => CounterId::MsgWbiReadReq,
-            WbiKind::WriteReq => CounterId::MsgWbiWriteReq,
-            WbiKind::DataShared => CounterId::MsgWbiDataShared,
-            WbiKind::DataExclClean => CounterId::MsgWbiDataExclClean,
-            WbiKind::DataExcl { .. } => CounterId::MsgWbiDataExcl,
-            WbiKind::Inv => CounterId::MsgWbiInv,
-            WbiKind::InvAck => CounterId::MsgWbiInvAck,
-            WbiKind::FetchShared => CounterId::MsgWbiFetchShared,
-            WbiKind::FetchExcl => CounterId::MsgWbiFetchExcl,
-            WbiKind::OwnerData { .. } => CounterId::MsgWbiOwnerData,
-            WbiKind::WriteBack => CounterId::MsgWbiWriteBack,
-            WbiKind::WbRace => CounterId::MsgWbiWbRace,
-        }
-    }
-
     /// Counter-key name of a message — the trace `detail` label.
     fn msg_name(p: &Proto) -> &'static str {
         Self::msg_key(p).name()
@@ -1151,7 +1098,6 @@ impl Machine {
                 CohKind::Mesi(_) => Family::Mesi,
                 CohKind::Dragon(_) => Family::Dragon,
             },
-            Proto::WbiLock { .. } | Proto::WbiFlag { .. } => Family::Wbi,
             Proto::Bar { .. } => Family::Bar,
             Proto::Sem { .. } => Family::Sem,
             Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => Family::Priv,
@@ -1241,7 +1187,7 @@ impl Machine {
             Endpoint::Node(x) => x,
             Endpoint::Dir => home,
         };
-        let kind = Self::msg_kind(&p);
+        let kind = self.msg_kind(&p);
         let dir = Self::msg_dir(src, dst);
         let d = self.net.send(depart, sp, dp, words, kind, dir);
         if self.tracer.is_on() {
@@ -1287,20 +1233,31 @@ impl Machine {
         }
     }
 
-    fn route_all_wbi(&mut self, depart: Cycle, ctx: WbiCtx, msgs: Vec<WbiMsg>) {
-        for msg in msgs {
-            let p = match ctx {
-                WbiCtx::Lock(lock) => Proto::WbiLock { lock, msg },
-                WbiCtx::Flag => Proto::WbiFlag { msg },
-            };
-            self.route(depart, p);
+    /// A read miss on coherence line `line`: sends the request and stalls
+    /// `node` for the fill.
+    fn coh_read_miss(&mut self, node: NodeId, line: usize, now: Cycle) {
+        for msg in self.coh[line].read_req(node) {
+            self.route(now, Proto::Coh { line, msg });
         }
+        self.stall_node(node, Waiting::Fill, now);
     }
 
-    fn route_all_coh(&mut self, depart: Cycle, block: BlockId, msgs: Vec<CohMsg>) {
-        for msg in msgs {
-            self.route(depart, Proto::Coh { block, msg });
+    /// A write miss on coherence line `line`: requests ownership (Dragon
+    /// carries the `(word, value)` store home instead) and stalls `node`
+    /// until the grant lets `pending` run.
+    fn coh_write_miss(
+        &mut self,
+        node: NodeId,
+        line: usize,
+        (word, value): (u8, u64),
+        pending: SyncCtx,
+        now: Cycle,
+    ) {
+        for msg in self.coh[line].write_req(node, word, value) {
+            self.route(now, Proto::Coh { line, msg });
         }
+        self.nodes[node].sync = Some(pending);
+        self.stall_node(node, Waiting::Fill, now);
     }
 
     // ------------------------------------------------------------------
@@ -1434,52 +1391,21 @@ impl Machine {
                     self.route(t_done, Proto::Ric { block, msg });
                 }
             }
-            Proto::Coh { block, msg } => {
-                let (msgs, effects) = self.coh[block].deliver(msg);
+            Proto::Coh { line, msg } => {
+                let (msgs, effects) = self.coh[line].deliver(msg);
                 let out_data = msgs.iter().any(|m| m.words > 1);
                 let t_done =
                     self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_coh_effects(block, effects, t_done);
+                self.apply_coh_effects(line, effects, t_done);
                 if let Some(c) = &self.check {
                     c.borrow_mut().structural(
-                        self.coh[block].swmr_invariant(),
+                        self.coh[line].swmr_invariant(),
                         t_done,
-                        self.coh[block].check_single_writer(),
+                        self.coh[line].check_single_writer(),
                     );
                 }
                 for msg in msgs {
-                    self.route(t_done, Proto::Coh { block, msg });
-                }
-            }
-            Proto::WbiLock { lock, msg } => {
-                let (msgs, effects) = self.wbi_locks[lock].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_wbi_effects(WbiCtx::Lock(lock), effects, t_done);
-                if let Some(c) = &self.check {
-                    c.borrow_mut().structural(
-                        "wbi.swmr",
-                        t_done,
-                        self.wbi_locks[lock].check_single_writer(),
-                    );
-                }
-                for msg in msgs {
-                    self.route(t_done, Proto::WbiLock { lock, msg });
-                }
-            }
-            Proto::WbiFlag { msg } => {
-                let (msgs, effects) = self.flag.deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
-                self.apply_wbi_effects(WbiCtx::Flag, effects, t_done);
-                if let Some(c) = &self.check {
-                    c.borrow_mut()
-                        .structural("wbi.swmr", t_done, self.flag.check_single_writer());
-                }
-                for msg in msgs {
-                    self.route(t_done, Proto::WbiFlag { msg });
+                    self.route(t_done, Proto::Coh { line, msg });
                 }
             }
             Proto::Bar { msg } => {
@@ -1925,21 +1851,46 @@ impl Machine {
         }
     }
 
-    fn apply_wbi_effects(&mut self, ctx: WbiCtx, effects: Vec<WbiEffect>, t: Cycle) {
+    /// Trace family of the configured shared-data scheme.
+    fn data_family(&self) -> Family {
+        match self.cfg.data {
+            DataScheme::Ric => Family::Ric,
+            DataScheme::Wbi => Family::Wbi,
+            DataScheme::Mesi => Family::Mesi,
+            DataScheme::Dragon => Family::Dragon,
+        }
+    }
+
+    /// Applies the effects a line's coherence backend emitted while
+    /// processing a delivery. Lock and flag lines wake their TTS and
+    /// barrier waiters; only data lines feed the read log, the value
+    /// oracle and the access heatmap.
+    fn apply_coh_effects(&mut self, line: usize, effects: Vec<CohEffect>, t: Cycle) {
+        let kind = self.line(line);
         for e in effects {
             match e {
-                WbiEffect::FilledShared { node, .. } => {
+                CohEffect::FilledShared { node, ref data } => {
+                    if let Line::Data(block) = kind {
+                        if let Some(addr) = self.nodes[node].pending_record.take() {
+                            if addr.block == block {
+                                let v = data.get(addr.word);
+                                self.record_read(node, addr, v);
+                            } else {
+                                self.nodes[node].pending_record = Some(addr);
+                            }
+                        }
+                    }
                     match self.nodes[node].sync {
                         Some(SyncCtx::TtsLock {
                             lock,
                             phase: TtsPhase::Fetch,
-                        }) if ctx == WbiCtx::Lock(lock) => {
+                        }) if kind == Line::Lock(lock) => {
                             self.unstall_node(node, t);
                             self.with_tracking(node, t, |m| {
                                 m.with_span(node, t, "lock", |m| m.tts_try(node, lock, t))
                             });
                         }
-                        Some(SyncCtx::SwSpinFlag) if ctx == WbiCtx::Flag => {
+                        Some(SyncCtx::SwSpinFlag) if kind == Line::Flag => {
                             self.unstall_node(node, t);
                             self.nodes[node].sync = None;
                             self.with_tracking(node, t, |m| {
@@ -1960,186 +1911,65 @@ impl Machine {
                         }
                     }
                 }
-                WbiEffect::FilledExcl { node, .. } | WbiEffect::UpgradeGranted { node } => {
-                    self.wbi_ownership_arrived(ctx, node, t);
+                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
+                    self.coh_ownership_arrived(line, kind, node, t);
                 }
-                WbiEffect::Invalidated { node } => {
-                    self.counters.bump_id(CounterId::WbiInvalidated);
-                    let spin_matches = match (self.nodes[node].waiting, ctx) {
-                        (Waiting::SpinInv(SpinTarget::LockVar(l)), WbiCtx::Lock(m)) => l == m,
-                        (Waiting::SpinInv(SpinTarget::Flag), WbiCtx::Flag) => true,
-                        _ => false,
-                    };
-                    if spin_matches {
-                        let tag = if matches!(ctx, WbiCtx::Flag) {
-                            "timer.flag"
-                        } else {
-                            "timer.lock"
+                CohEffect::Invalidated { node } => match kind {
+                    Line::Data(block) => {
+                        let ctr = match self.cfg.data {
+                            DataScheme::Mesi => CounterId::MesiInvalidated,
+                            _ => CounterId::WbiInvalidated,
+                        };
+                        self.counters.bump_id(ctr);
+                        let fam = self.data_family();
+                        self.trace_access(t, node as i64, fam, "invalidate", block, 0);
+                    }
+                    _ => {
+                        // A release or flag write invalidated the copy a
+                        // spinner watches: it re-reads a cycle later.
+                        self.counters.bump_id(CounterId::WbiInvalidated);
+                        let tag = match (kind, self.nodes[node].waiting) {
+                            (Line::Lock(l), Waiting::SpinInv(SpinTarget::LockVar(m))) if l == m => {
+                                "timer.lock"
+                            }
+                            (Line::Flag, Waiting::SpinInv(SpinTarget::Flag)) => "timer.flag",
+                            _ => continue,
                         };
                         self.unstall_node(node, t);
                         self.stall_node_tagged(node, Waiting::Timer, t, tag);
                         self.events.schedule(t + 1, Ev::Retry(node));
                     }
-                }
-                WbiEffect::Downgraded { .. } => {
-                    self.counters.bump_id(CounterId::WbiDowngraded);
-                }
-            }
-        }
-    }
-
-    /// Exclusive ownership (or an upgrade) arrived for `node` on the lock
-    /// or flag block identified by `ctx`: perform the deferred store /
-    /// test-and-set.
-    fn wbi_ownership_arrived(&mut self, ctx: WbiCtx, node: NodeId, t: Cycle) {
-        match self.nodes[node].sync {
-            Some(SyncCtx::PendingStore { block, word, value }) if ctx == WbiCtx::Lock(block) => {
-                // LockedWrite under TTS: the lock block doubles as data.
-                let ok = self.wbi_locks[block].local_write(node, word, value);
-                debug_assert!(ok, "locked store failed after ownership");
-                self.nodes[node].sync = None;
-                self.resume_from(node, Waiting::Fill, t);
-            }
-            Some(SyncCtx::TtsLock {
-                lock,
-                phase: TtsPhase::Acquire,
-            }) if ctx == WbiCtx::Lock(lock) => {
-                let old = self.wbi_locks[lock]
-                    .fetch_and_store(node, 0, 1)
-                    .expect("test-and-set without ownership");
-                self.counters.bump_id(CounterId::LockTtsTestAndSet);
-                self.unstall_node(node, t);
-                if old == 0 {
-                    self.tts_acquired(node, lock, t);
-                } else {
-                    // Lost the race: the lock is held. Spin or back off.
-                    self.counters.bump_id(CounterId::LockTtsFailedTs);
-                    if self.cfg.locks == LockScheme::TtsBackoff {
-                        let d = {
-                            let n = &mut self.nodes[node];
-                            let mut rng = n.rng.clone();
-                            let d = n.backoff.next_delay(&mut rng);
-                            n.rng = rng;
-                            d
-                        };
-                        self.stall_node_tagged(node, Waiting::Timer, t, "timer.lock");
-                        self.events.schedule(t + d, Ev::Retry(node));
-                    } else {
-                        // We own the line (value 1); the releaser's write
-                        // will invalidate us.
-                        self.stall_node_tagged(
-                            node,
-                            Waiting::SpinInv(SpinTarget::LockVar(lock)),
-                            t,
-                            "spin.lock",
-                        );
-                    }
-                }
-            }
-            Some(SyncCtx::TtsUnlock { lock }) if ctx == WbiCtx::Lock(lock) => {
-                let ok = self.wbi_locks[lock].local_write(node, 0, 0);
-                debug_assert!(ok, "unlock store failed after ownership");
-                self.nodes[node].sync = None;
-                self.resume_from(node, Waiting::Fill, t);
-            }
-            Some(SyncCtx::SwWriteFlag) if ctx == WbiCtx::Flag => {
-                let v = self.swbar.flag_value();
-                let ok = self.flag.local_write(node, 0, v);
-                debug_assert!(ok, "flag store failed after ownership");
-                self.nodes[node].sync = None;
-                self.resume_from(node, Waiting::Fill, t);
-            }
-            _ => {
-                // A plain exclusive fill with no pending action (possible
-                // when a queued transaction completed after its purpose was
-                // already served); just resume if stalled on it.
-                if self.nodes[node].waiting == Waiting::Fill {
-                    self.resume_from(node, Waiting::Fill, t);
-                }
-            }
-        }
-    }
-
-    /// Trace family of the configured shared-data scheme.
-    fn data_family(&self) -> Family {
-        match self.cfg.data {
-            DataScheme::Ric => Family::Ric,
-            DataScheme::Wbi => Family::Wbi,
-            DataScheme::Mesi => Family::Mesi,
-            DataScheme::Dragon => Family::Dragon,
-        }
-    }
-
-    /// Applies the effects a shared-data coherence backend emitted while
-    /// processing a delivery on `block`.
-    fn apply_coh_effects(&mut self, block: BlockId, effects: Vec<CohEffect>, t: Cycle) {
-        for e in effects {
-            match e {
-                CohEffect::FilledShared { node, ref data } => {
-                    if let Some(addr) = self.nodes[node].pending_record.take() {
-                        if addr.block == block {
-                            let v = data.get(addr.word);
-                            self.record_read(node, addr, v);
-                        } else {
-                            self.nodes[node].pending_record = Some(addr);
-                        }
-                    }
-                    if self.nodes[node].spin_global.is_some()
-                        && self.nodes[node].waiting == Waiting::Fill
-                    {
-                        // re-check the freshly filled value
-                        self.unstall_node(node, t);
-                        self.stall_node_tagged(node, Waiting::Timer, t, "timer.flag");
-                        self.events.schedule(t + 1, Ev::Retry(node));
-                    } else if self.nodes[node].waiting == Waiting::Fill {
-                        self.resume_from(node, Waiting::Fill, t);
-                    }
-                }
-                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
-                    self.coh_ownership_arrived(block, node, t);
-                }
-                CohEffect::Invalidated { node } => {
-                    let ctr = match self.cfg.data {
-                        DataScheme::Mesi => CounterId::MesiInvalidated,
-                        _ => CounterId::WbiInvalidated,
-                    };
-                    self.counters.bump_id(ctr);
-                    self.trace_access(t, node as i64, self.data_family(), "invalidate", block, 0);
-                }
+                },
                 CohEffect::Downgraded { .. } => {
-                    let ctr = match self.cfg.data {
-                        DataScheme::Mesi => CounterId::MesiDowngraded,
-                        DataScheme::Dragon => CounterId::DragonDowngraded,
+                    let ctr = match (kind, self.cfg.data) {
+                        (Line::Data(_), DataScheme::Mesi) => CounterId::MesiDowngraded,
+                        (Line::Data(_), DataScheme::Dragon) => CounterId::DragonDowngraded,
                         _ => CounterId::WbiDowngraded,
                     };
                     self.counters.bump_id(ctr);
                 }
+                // The remaining effects come from Dragon, which only ever
+                // runs data lines, so `line` is the block id.
                 CohEffect::UpdateApplied { node, word } => {
                     // A Dragon multicast landed a fresh word in `node`'s
                     // copy in place — the update-protocol counterpart of an
                     // invalidation, and the heatmap signal that separates
                     // update from invalidate false-sharing behavior.
                     self.counters.bump_id(CounterId::DragonUpdateApplied);
-                    self.trace_access(
-                        t,
-                        node as i64,
-                        self.data_family(),
-                        "update.apply",
-                        block,
-                        word,
-                    );
+                    let fam = self.data_family();
+                    self.trace_access(t, node as i64, fam, "update.apply", line, word);
                 }
                 CohEffect::StoreSerialized { node, word, value } => {
                     // The home serialized the store into main memory: this
                     // is the point the value becomes visible to fills, so
                     // the provenance oracle learns it here — before any
                     // pushed copy can be read.
-                    self.record_write(node, block, word, value);
+                    self.record_write(node, line, word, value);
                 }
                 CohEffect::StoreComplete { node } => {
                     if matches!(
                         self.nodes[node].sync,
-                        Some(SyncCtx::PendingStore { block: b, .. }) if b == block
+                        Some(SyncCtx::PendingStore { line: l, .. }) if l == line
                     ) {
                         self.nodes[node].sync = None;
                         self.resume_from(node, Waiting::Fill, t);
@@ -2151,24 +1981,70 @@ impl Machine {
         }
     }
 
-    /// Exclusive ownership (or an upgrade) arrived for `node` on shared
-    /// data `block`: perform the deferred store.
-    fn coh_ownership_arrived(&mut self, block: BlockId, node: NodeId, t: Cycle) {
-        match self.nodes[node].sync {
+    /// Exclusive ownership (or an upgrade) arrived for `node` on `line`:
+    /// perform the deferred store — a data or locked store, a TTS unlock,
+    /// the barrier's flag write — or the test-and-set.
+    fn coh_ownership_arrived(&mut self, line: usize, kind: Line, node: NodeId, t: Cycle) {
+        let store = match self.nodes[node].sync {
             Some(SyncCtx::PendingStore {
-                block: b,
+                line: l,
                 word,
                 value,
-            }) if b == block => {
-                let ok = self.coh[block].local_write(node, word, value);
+            }) if l == line => Some((word, value)),
+            Some(SyncCtx::TtsUnlock { lock }) if kind == Line::Lock(lock) => Some((0, 0)),
+            Some(SyncCtx::SwWriteFlag) if kind == Line::Flag => Some((0, self.swbar.flag_value())),
+            Some(SyncCtx::TtsLock {
+                lock,
+                phase: TtsPhase::Acquire,
+            }) if kind == Line::Lock(lock) => {
+                let old = self
+                    .test_and_set(line, node)
+                    .expect("test-and-set without ownership");
+                self.counters.bump_id(CounterId::LockTtsTestAndSet);
+                self.unstall_node(node, t);
+                if old == 0 {
+                    self.tts_acquired(node, lock, t);
+                    return;
+                }
+                // Lost the race: the lock is held. Spin or back off.
+                self.counters.bump_id(CounterId::LockTtsFailedTs);
+                if self.cfg.locks == LockScheme::TtsBackoff {
+                    let d = {
+                        let n = &mut self.nodes[node];
+                        let mut rng = n.rng.clone();
+                        let d = n.backoff.next_delay(&mut rng);
+                        n.rng = rng;
+                        d
+                    };
+                    self.stall_node_tagged(node, Waiting::Timer, t, "timer.lock");
+                    self.events.schedule(t + d, Ev::Retry(node));
+                } else {
+                    // We own the line (value 1); the releaser's write
+                    // will invalidate us.
+                    self.stall_node_tagged(
+                        node,
+                        Waiting::SpinInv(SpinTarget::LockVar(lock)),
+                        t,
+                        "spin.lock",
+                    );
+                }
+                return;
+            }
+            _ => None,
+        };
+        match store {
+            Some((word, value)) => {
+                let ok = self.coh[line].local_write(node, word, value);
                 debug_assert!(ok, "store failed after ownership");
-                self.record_write(node, block, word, value);
+                if let Line::Data(block) = kind {
+                    self.record_write(node, block, word, value);
+                }
                 self.nodes[node].sync = None;
                 self.resume_from(node, Waiting::Fill, t);
             }
-            _ => {
-                // A stale grant whose purpose was already served; just
-                // resume if stalled on it.
+            // A stale grant whose purpose was already served (a queued
+            // transaction completing late); just resume if stalled on it.
+            None => {
                 if self.nodes[node].waiting == Waiting::Fill {
                     self.resume_from(node, Waiting::Fill, t);
                 }
@@ -2442,9 +2318,7 @@ impl Machine {
                             if self.wants_reads() {
                                 self.nodes[node].pending_record = Some(addr);
                             }
-                            let msgs = self.coh[addr.block].read_req(node);
-                            self.route_all_coh(now, addr.block, msgs);
-                            self.stall_node(node, Waiting::Fill, now);
+                            self.coh_read_miss(node, addr.block, now);
                         }
                     }
                 }
@@ -2509,9 +2383,7 @@ impl Machine {
                                 if self.wants_reads() {
                                     self.nodes[node].pending_record = Some(addr);
                                 }
-                                let msgs = self.coh[addr.block].read_req(node);
-                                self.route_all_coh(now, addr.block, msgs);
-                                self.stall_node(node, Waiting::Fill, now);
+                                self.coh_read_miss(node, addr.block, now);
                             }
                         }
                     }
@@ -2602,14 +2474,12 @@ impl Machine {
                             self.events.schedule(now + 1, Ev::Resume(node));
                         } else {
                             self.counters.bump_id(CounterId::SharedWriteMiss);
-                            let msgs = self.coh[addr.block].write_req(node, addr.word, stamp);
-                            self.route_all_coh(now, addr.block, msgs);
-                            self.nodes[node].sync = Some(SyncCtx::PendingStore {
-                                block: addr.block,
+                            let store = SyncCtx::PendingStore {
+                                line: addr.block,
                                 word: addr.word,
                                 value: stamp,
-                            });
-                            self.stall_node(node, Waiting::Fill, now);
+                            };
+                            self.coh_write_miss(node, addr.block, (addr.word, stamp), store, now);
                         }
                     }
                 }
@@ -2722,12 +2592,11 @@ impl Machine {
                     }
                     LockScheme::Tts | LockScheme::TtsBackoff => {
                         // Lock-governed data lives in the lock block.
-                        if self.wbi_locks[lock].local_read(node, word).is_some() {
+                        let line = self.lock_line(lock);
+                        if self.coh[line].local_read(node, word).is_some() {
                             self.events.schedule(now + 1, Ev::Resume(node));
                         } else {
-                            let msgs = self.wbi_locks[lock].read_req(node);
-                            self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
-                            self.stall_node(node, Waiting::Fill, now);
+                            self.coh_read_miss(node, line, now);
                         }
                     }
                 }
@@ -2743,17 +2612,16 @@ impl Machine {
                     self.events.schedule(now + 1, Ev::Resume(node));
                 }
                 LockScheme::Tts | LockScheme::TtsBackoff => {
-                    if self.wbi_locks[lock].local_write(node, word, stamp) {
+                    let line = self.lock_line(lock);
+                    if self.coh[line].local_write(node, word, stamp) {
                         self.events.schedule(now + 1, Ev::Resume(node));
                     } else {
-                        let msgs = self.wbi_locks[lock].write_req(node);
-                        self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
-                        self.nodes[node].sync = Some(SyncCtx::PendingStore {
-                            block: lock,
+                        let store = SyncCtx::PendingStore {
+                            line,
                             word,
                             value: stamp,
-                        });
-                        self.stall_node(node, Waiting::Fill, now);
+                        };
+                        self.coh_write_miss(node, line, (word, stamp), store, now);
                     }
                 }
             },
@@ -2829,7 +2697,16 @@ impl Machine {
 
     /// The software barrier uses the last lock id as its own lock.
     fn barrier_lock(&self) -> LockId {
-        self.wbi_locks.len() - 1
+        self.flag_line() - 1 - self.data_lines()
+    }
+
+    /// TTS test-and-set of word 0 of a lock line: the old value, or `None`
+    /// when `node` holds no writable copy. It is a local read then a local
+    /// write, which only a Modified or Exclusive line accepts (and leaves
+    /// Modified).
+    fn test_and_set(&mut self, line: usize, node: NodeId) -> Option<u64> {
+        let old = self.coh[line].local_read(node, 0)?;
+        self.coh[line].local_write(node, 0, 1).then_some(old)
     }
 
     // ------------------------------------------------------------------
@@ -2841,21 +2718,17 @@ impl Machine {
             !self.nodes[node].held_locks.contains(&lock),
             "node {node} re-acquired lock {lock} it already holds (TTS would spin on itself forever)"
         );
-        match self.wbi_locks[lock].local_read(node, 0) {
+        let line = self.lock_line(lock);
+        match self.coh[line].local_read(node, 0) {
             Some(0) => {
                 // Observed free: attempt the test-and-set (needs ownership).
-                if self.wbi_locks[lock].fetch_and_store(node, 0, 1).is_some() {
+                if self.test_and_set(line, node).is_some() {
                     // Already owner: acquired locally.
                     self.counters.bump_id(CounterId::LockTtsTestAndSet);
                     self.tts_acquired(node, lock, now);
                 } else {
-                    let msgs = self.wbi_locks[lock].write_req(node);
-                    self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
-                    self.nodes[node].sync = Some(SyncCtx::TtsLock {
-                        lock,
-                        phase: TtsPhase::Acquire,
-                    });
-                    self.stall_node(node, Waiting::Fill, now);
+                    let phase = TtsPhase::Acquire;
+                    self.coh_write_miss(node, line, (0, 1), SyncCtx::TtsLock { lock, phase }, now);
                 }
             }
             Some(_) => {
@@ -2874,13 +2747,9 @@ impl Machine {
             }
             None => {
                 // No cached copy: fetch it.
-                let msgs = self.wbi_locks[lock].read_req(node);
-                self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
-                self.nodes[node].sync = Some(SyncCtx::TtsLock {
-                    lock,
-                    phase: TtsPhase::Fetch,
-                });
-                self.stall_node(node, Waiting::Fill, now);
+                let phase = TtsPhase::Fetch;
+                self.nodes[node].sync = Some(SyncCtx::TtsLock { lock, phase });
+                self.coh_read_miss(node, line, now);
             }
         }
     }
@@ -2923,7 +2792,8 @@ impl Machine {
                 arg: 0,
             });
         }
-        if self.wbi_locks[lock].local_write(node, 0, 0) {
+        let line = self.lock_line(lock);
+        if self.coh[line].local_write(node, 0, 0) {
             // We still own the line: release is local (no spinners hold
             // copies, so nobody needs waking).
             self.counters.bump_id(CounterId::LockTtsReleaseLocal);
@@ -2932,10 +2802,7 @@ impl Machine {
             // Regain ownership; the invalidations wake the spinners — the
             // release burst of the paper.
             self.counters.bump_id(CounterId::LockTtsReleaseRemote);
-            let msgs = self.wbi_locks[lock].write_req(node);
-            self.route_all_wbi(now, WbiCtx::Lock(lock), msgs);
-            self.nodes[node].sync = Some(SyncCtx::TtsUnlock { lock });
-            self.stall_node(node, Waiting::Fill, now);
+            self.coh_write_miss(node, line, (0, 0), SyncCtx::TtsUnlock { lock }, now);
         }
     }
 
@@ -2951,7 +2818,8 @@ impl Machine {
         let bl = self.barrier_lock();
         // store the new count into the lock block (local: we own it)
         let count_stamp = self.next_stamp(node);
-        let _ = self.wbi_locks[bl].local_write(node, 1, count_stamp);
+        let line = self.lock_line(bl);
+        let _ = self.coh[line].local_write(node, 1, count_stamp);
         self.nodes[node]
             .injected
             .push_back(MicroOp::Op(Op::Unlock(bl)));
@@ -2966,13 +2834,11 @@ impl Machine {
     fn sw_write_flag(&mut self, node: NodeId, now: Cycle) {
         self.counters.bump_id(CounterId::BarrierSwNotify);
         let v = self.swbar.flag_value();
-        if self.flag.local_write(node, 0, v) {
+        let line = self.flag_line();
+        if self.coh[line].local_write(node, 0, v) {
             self.events.schedule(now + 1, Ev::Resume(node));
         } else {
-            let msgs = self.flag.write_req(node);
-            self.route_all_wbi(now, WbiCtx::Flag, msgs);
-            self.nodes[node].sync = Some(SyncCtx::SwWriteFlag);
-            self.stall_node(node, Waiting::Fill, now);
+            self.coh_write_miss(node, line, (0, v), SyncCtx::SwWriteFlag, now);
         }
     }
 
@@ -2983,18 +2849,13 @@ impl Machine {
             self.events.schedule(now + 1, Ev::Resume(node));
             return;
         }
-        match self.flag.local_read(node, 0) {
-            Some(_) => {
-                // Cached copy says "not yet": spin until invalidated.
-                self.stall_node_tagged(node, Waiting::SpinInv(SpinTarget::Flag), now, "spin.flag");
-                self.nodes[node].sync = Some(SyncCtx::SwSpinFlag);
-            }
-            None => {
-                let msgs = self.flag.read_req(node);
-                self.route_all_wbi(now, WbiCtx::Flag, msgs);
-                self.nodes[node].sync = Some(SyncCtx::SwSpinFlag);
-                self.stall_node(node, Waiting::Fill, now);
-            }
+        let line = self.flag_line();
+        self.nodes[node].sync = Some(SyncCtx::SwSpinFlag);
+        if self.coh[line].local_read(node, 0).is_some() {
+            // Cached copy says "not yet": spin until invalidated.
+            self.stall_node_tagged(node, Waiting::SpinInv(SpinTarget::Flag), now, "spin.flag");
+        } else {
+            self.coh_read_miss(node, line, now);
         }
     }
 
@@ -3689,123 +3550,5 @@ mod extension_tests {
             r.counters.get("wbi.dir_evictions") > 0,
             "eight readers of one block must overflow a Dir_1"
         );
-    }
-
-    /// The wheel≡heap contract at machine granularity: the generic engine
-    /// property test drives both queues with integer payloads; these drive
-    /// them with the machine's own [`Ev`] mix (all five variants, `Deliver`
-    /// carrying real [`Proto`] payloads) and with whole-machine runs.
-    mod queue_equivalence {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// Builds one of the machine's event variants from drawn integers:
-        /// all five [`Ev`] arms, with `Deliver` carrying real [`Proto`]
-        /// payloads (the private-data legs, which need only node ids).
-        fn build_ev(sel: u8, aux: u64) -> Ev {
-            let node = (aux % 8) as NodeId;
-            let home = ((aux >> 8) % 8) as NodeId;
-            match sel {
-                0 => Ev::Resume(node),
-                1 => Ev::WbufIssue(node),
-                2 => Ev::Retry(node),
-                3 => Ev::Timeout {
-                    node,
-                    epoch: aux % 4,
-                },
-                4 => Ev::Deliver {
-                    id: aux % 512,
-                    p: Proto::PrivReq { node, home },
-                },
-                5 => Ev::Deliver {
-                    id: aux % 512,
-                    p: Proto::PrivFill { node, home },
-                },
-                _ => Ev::Deliver {
-                    id: aux % 512,
-                    p: Proto::PrivWb { node, home },
-                },
-            }
-        }
-
-        fn pop_both(heap: &mut EventQueue<Ev>, wheel: &mut WheelQueue<Ev>) -> bool {
-            let (h, w) = (heap.pop(), wheel.pop());
-            assert_eq!(h.is_some(), w.is_some(), "one queue drained early");
-            match (h, w) {
-                (Some(h), Some(w)) => {
-                    assert_eq!(h.at, w.at, "pop times diverged");
-                    assert_eq!(
-                        format!("{:?}", h.event),
-                        format!("{:?}", w.event),
-                        "pop order diverged at cycle {}",
-                        h.at
-                    );
-                    true
-                }
-                _ => false,
-            }
-        }
-
-        proptest! {
-            /// Random interleavings of schedule / pop / peek with the full
-            /// machine event mix pop identically from both queues. Deltas
-            /// up to 2× the wheel horizon exercise the overflow path.
-            #[test]
-            fn wheel_matches_heap_on_machine_events(
-                ops in proptest::collection::vec(
-                    (0u8..3, 0u64..(2 * WHEEL_SLOTS as u64), 0u8..7, any::<u64>()),
-                    1..200,
-                )
-            ) {
-                let mut heap = EventQueue::new();
-                let mut wheel = WheelQueue::new(WHEEL_SLOTS);
-                for (op, dt, sel, aux) in ops {
-                    match op {
-                        0 => {
-                            let at = heap.now() + dt;
-                            let ev = build_ev(sel, aux);
-                            heap.schedule(at, ev.clone());
-                            wheel.schedule(at, ev);
-                        }
-                        1 => {
-                            pop_both(&mut heap, &mut wheel);
-                        }
-                        _ => prop_assert_eq!(heap.peek_time(), wheel.peek_time()),
-                    }
-                }
-                while pop_both(&mut heap, &mut wheel) {}
-            }
-        }
-
-        /// A contended whole-machine run (locks + barrier + shared data,
-        /// so every `Ev` variant fires) must produce a field-for-field
-        /// identical report under both queue implementations.
-        #[test]
-        fn whole_machine_reports_identical() {
-            let run_with = |kind: QueueKind| {
-                let streams: Vec<Vec<Op>> = (0..4)
-                    .map(|_| {
-                        vec![
-                            Op::Lock(0, ssmp_core::primitive::LockMode::Write),
-                            Op::SharedWrite(SharedAddr::new(0, 0)),
-                            Op::Unlock(0),
-                            Op::Barrier,
-                            Op::SharedRead(SharedAddr::new(0, 0)),
-                        ]
-                    })
-                    .collect();
-                let mut cfg = MachineConfig::cbl(4);
-                cfg.queue = kind;
-                Machine::builder(cfg)
-                    .workload(Box::new(Script::new(streams)))
-                    .locks(1)
-                    .build()
-                    .unwrap()
-                    .run()
-            };
-            let heap = run_with(QueueKind::Heap);
-            let wheel = run_with(QueueKind::Wheel);
-            assert_eq!(format!("{heap:?}"), format!("{wheel:?}"));
-        }
     }
 }

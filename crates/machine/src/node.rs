@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use ssmp_core::addr::{BlockId, NodeId};
+use ssmp_core::addr::NodeId;
 use ssmp_core::cache::DataCache;
 use ssmp_core::lockcache::LockCache;
 use ssmp_core::wbuf::WriteBuffer;
@@ -69,10 +69,11 @@ pub enum SyncCtx {
     SwWriteFlag,
     /// Software barrier: waiting for a flag fill to test the sense.
     SwSpinFlag,
-    /// A shared-data store waiting for WBI ownership.
+    /// A store waiting for ownership of a coherence line: a shared-data
+    /// block, or (a locked write under TTS) a lock block.
     PendingStore {
-        /// Target block.
-        block: BlockId,
+        /// Target line (an index into the machine's line table).
+        line: usize,
         /// Word to store.
         word: u8,
         /// Version stamp to store.

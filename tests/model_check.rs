@@ -206,13 +206,14 @@ fn reader_writer_two_rounds_exhaustive() {
 mod wbi_check {
     use std::collections::{HashSet, VecDeque};
 
-    use ssmp::wbi::{WbiBlock, WbiEffect, WbiMsg};
+    use ssmp::wbi::WbiBlock;
+    use ssmp_coherence::{CohEffect, CohMsg, CoherenceProtocol};
 
     /// Each node's program: a list of (is_write, value) accesses to word 0.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct WState {
         b: WbiBlock,
-        wire: VecDeque<WbiMsg>,
+        wire: VecDeque<CohMsg>,
         /// per-node remaining accesses
         progs: Vec<Vec<(bool, u64)>>,
         /// per-node outstanding request (waiting for a fill/ownership)
@@ -249,21 +250,22 @@ mod wbi_check {
 
     /// Applies fills: a node whose outstanding access completed performs
     /// the deferred store (if a write).
-    fn apply_effects(st: &mut WState, effects: Vec<WbiEffect>) {
+    fn apply_effects(st: &mut WState, effects: Vec<CohEffect>) {
         for e in effects {
             match e {
-                WbiEffect::FilledShared { node, .. } => {
+                CohEffect::FilledShared { node, .. } => {
                     if let Some((false, _)) = st.waiting[node] {
                         st.waiting[node] = None; // read satisfied
                     }
                 }
-                WbiEffect::FilledExcl { node, .. } | WbiEffect::UpgradeGranted { node } => {
+                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
                     if let Some((true, v)) = st.waiting[node] {
                         assert!(st.b.local_write(node, 0, v), "store after ownership");
                         st.waiting[node] = None;
                     }
                 }
-                WbiEffect::Invalidated { .. } | WbiEffect::Downgraded { .. } => {}
+                // invalidations and downgrades need no action here
+                _ => {}
             }
         }
     }
@@ -292,7 +294,7 @@ mod wbi_check {
                     // silent hit (Modified/Exclusive)
                 } else {
                     next.waiting[node] = Some((true, v));
-                    let msgs = next.b.write_req(node);
+                    let msgs = next.b.write_req(node, 0, v);
                     next.wire.extend(msgs);
                 }
             } else if next.b.local_read(node, 0).is_some() {
