@@ -3,12 +3,16 @@
 //! Every valid (workload, configuration) pair runs once at n=8 with quick
 //! sizes and a JSONL tracer attached; the FNV-1a digests of the `--json`
 //! report bytes and of the trace bytes are compared against the committed
-//! table in `tests/golden/report_digests.txt`. Two dup+delay fault plans
+//! table in `tests/golden/report_digests.txt`. Four dup+delay fault plans
 //! with retry target one message kind each — lock-line traffic under
-//! `wbi`, flag-line traffic under `dragon` — so routing a message under
-//! the wrong kind or home changes a digest. A refactor that claims "same
-//! behaviour" must leave the table untouched; regenerate it with
-//! `SSMP_BLESS=1` only for an intended behaviour change.
+//! `wbi`, flag-line traffic under `dragon`, update-list traffic under
+//! `bc-cbl` and lock-queue traffic under `cbl` — so routing a message
+//! under the wrong kind or home changes a digest. Two more rows arm
+//! `record_reads` and the sanitizer; their report digest also covers the
+//! read log, so it pins every value a read returned, and the finish-time
+//! cross-checks run. A refactor that
+//! claims "same behaviour" must leave the table untouched; regenerate it
+//! with `SSMP_BLESS=1` only for an intended behaviour change.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -143,18 +147,34 @@ fn workload(name: &str, cfg: &mut MachineConfig) -> (Box<dyn Workload>, usize) {
     }
 }
 
-/// Runs one case traced, with a dup+delay fault plan on messages of
-/// `faulted` kind (and retry) if given; returns `label cycles
-/// report-digest trace-digest`.
-fn digest_line(wl_name: &str, cfg_name: &str, faulted: Option<MsgKind>) -> String {
+/// What a case arms beyond the plain traced run.
+#[derive(Clone, Copy)]
+enum Extra {
+    /// A dup+delay fault plan on messages of this kind, with retry.
+    Faults(MsgKind),
+    /// `record_reads` and the sanitizer.
+    ReadsChecked,
+}
+
+/// Runs one case traced, with `extra` armed if given; returns `label
+/// cycles report-digest trace-digest`.
+fn digest_line(wl_name: &str, cfg_name: &str, extra: Option<Extra>) -> String {
     let mut cfg = config(cfg_name);
     let mut label = format!("{wl_name}/{cfg_name}");
-    if let Some(kind) = faulted {
-        let mut plan = FaultConfig::uniform(0x5eed, 0.0, 0.2, 0.2);
-        plan.kinds = Some(vec![kind]);
-        cfg.fault = Some(plan);
-        cfg.retry = RetryPolicy::enabled();
-        label.push_str(&format!("+dup-delay-retry({kind:?})"));
+    let check = matches!(extra, Some(Extra::ReadsChecked));
+    match extra {
+        Some(Extra::Faults(kind)) => {
+            let mut plan = FaultConfig::uniform(0x5eed, 0.0, 0.2, 0.2);
+            plan.kinds = Some(vec![kind]);
+            cfg.fault = Some(plan);
+            cfg.retry = RetryPolicy::enabled();
+            label.push_str(&format!("+dup-delay-retry({kind:?})"));
+        }
+        Some(Extra::ReadsChecked) => {
+            cfg.record_reads = true;
+            label.push_str("+reads-check");
+        }
+        None => {}
     }
     let (wl, locks) = workload(wl_name, &mut cfg);
     let buf = SharedBuf::default();
@@ -164,11 +184,20 @@ fn digest_line(wl_name: &str, cfg_name: &str, faulted: Option<MsgKind>) -> Strin
         .workload(wl)
         .locks(locks)
         .tracer(tracer)
+        .check(check)
         .build()
         .unwrap_or_else(|e| panic!("{label}: {e}"))
         .run();
     assert!(report.deadlock.is_none(), "{label}: the run wedged");
-    let json = report.to_json().render() + "\n";
+    assert!(
+        report.violations.is_empty(),
+        "{label}: the sanitizer flagged {:?}",
+        report.violations
+    );
+    let mut json = report.to_json().render() + "\n";
+    for (node, block, word, value) in &report.read_log {
+        writeln!(json, "read {node} {block} {word} {value}").unwrap();
+    }
     let trace = buf.0.borrow();
     format!(
         "{label} {} {:016x} {:016x}",
@@ -178,13 +207,18 @@ fn digest_line(wl_name: &str, cfg_name: &str, faulted: Option<MsgKind>) -> Strin
     )
 }
 
-fn cases() -> Vec<(&'static str, &'static str, Option<MsgKind>)> {
+fn cases() -> Vec<(&'static str, &'static str, Option<Extra>)> {
     let mut out: Vec<_> = WORKLOADS
         .iter()
         .flat_map(|&w| CONFIGS.iter().map(move |&c| (w, c, None)))
         .collect();
-    out.push(("work-queue", "wbi", Some(MsgKind::WbiLock)));
-    out.push(("work-queue", "dragon", Some(MsgKind::WbiFlag)));
+    out.push(("work-queue", "wbi", Some(Extra::Faults(MsgKind::WbiLock))));
+    out.push(("work-queue", "dragon", Some(Extra::Faults(MsgKind::WbiFlag))));
+    out.push(("work-queue", "bc-cbl", Some(Extra::Faults(MsgKind::Ric))));
+    out.push(("work-queue", "cbl", Some(Extra::Faults(MsgKind::Cbl))));
+    // fft runs READ-UPDATE / RESET-UPDATE phases
+    out.push(("fft", "bc-cbl", Some(Extra::ReadsChecked)));
+    out.push(("work-queue", "sc-cbl", Some(Extra::ReadsChecked)));
     out
 }
 
@@ -194,7 +228,7 @@ fn reports_and_traces_match_committed_digests() {
     // its machine, tracer and buffer.
     let cases = cases();
     let (a, b) = cases.split_at(cases.len() / 2);
-    let run = |part: &[(&str, &str, Option<MsgKind>)]| -> Vec<String> {
+    let run = |part: &[(&str, &str, Option<Extra>)]| -> Vec<String> {
         part.iter().map(|&(w, c, f)| digest_line(w, c, f)).collect()
     };
     let lines = std::thread::scope(|s| {
