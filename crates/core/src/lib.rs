@@ -13,12 +13,10 @@
 //! | Module | Paper section |
 //! |---|---|
 //! | [`primitive`] | Table 1 — the ten hardware primitives; §2 — NP-/CP-Synch classes |
-//! | [`line`](mod@line) | Fig. 2a — cache-directory entry: per-word dirty bits, update bit, lock field, `prev`/`next` pointers |
-//! | [`central`] | Fig. 2b — central-directory entry: usage bit + queue pointer |
-//! | [`cache`] | §4.1 — the data cache for shared blocks, word-granular write-back |
+//! | [`line`](mod@line) | Fig. 2a — block data with word-granular merges; the CBL lock field |
 //! | [`lockcache`] | §4.3 — the small fully-associative lock cache |
 //! | [`wbuf`] | §4.2 — the write buffer and `FLUSH-BUFFER` |
-//! | [`ric`] | §4.1 — reader-initiated coherence (`READ-UPDATE`/`RESET-UPDATE`) |
+//! | [`ric`] | §4.1, Fig. 2 — reader-initiated coherence (`READ-UPDATE`/`RESET-UPDATE`): update list and the nodes' cached copies |
 //! | [`cbl`] | §4.3 — cache-based locking (`READ-LOCK`/`WRITE-LOCK`/`UNLOCK`) |
 //! | [`barrier`] | Table 3 — the hardware barrier (request + chained notify) |
 //! | [`semaphore`] | §2 — counting semaphores (P = NP-Synch, V = CP-Synch) |
@@ -28,9 +26,7 @@
 
 pub mod addr;
 pub mod barrier;
-pub mod cache;
 pub mod cbl;
-pub mod central;
 pub mod consistency;
 pub mod line;
 pub mod lockcache;

@@ -1,19 +1,13 @@
-//! Cache-directory entries (paper Fig. 2a) and block data.
+//! Block data and the CBL lock field of a cache-directory entry (paper
+//! Fig. 2a).
 //!
-//! Every cache line carries:
-//!
-//! * per-word **dirty bits** `d₁ d₂ … d_k` — only dirty words are written
-//!   back on replacement, which both solves the delayed-write lost-update
-//!   problem of buffered consistency and eliminates false sharing (§3 issue 6);
-//! * an **update bit** — set while the node is enrolled in the block's
-//!   read-update list (§4.1);
-//! * a **lock field** — the node's CBL state for this line (§4.3);
-//! * **prev/next pointers** — the doubly-linked list threaded through the
-//!   participating caches, used for *either* the update list or the lock
-//!   queue (the two uses are mutually exclusive; the central directory's
-//!   usage bit says which).
+//! The entry's other fields live with the controller that uses them: the
+//! update bit and the RIC copy in [`crate::ric::UpdateList`], the lock
+//! field and the queue's `prev`/`next` pointers in
+//! [`crate::cbl::LockQueue`]. Per-word writes merge with
+//! [`BlockData::merge_masked`], so writers of different words of one block
+//! never clobber each other (§3 issue 6).
 
-use crate::addr::NodeId;
 use crate::primitive::LockMode;
 
 /// Words a [`BlockData`] stores without heap allocation. The paper's
@@ -124,126 +118,10 @@ pub enum LockField {
     ReleasePending,
 }
 
-/// A cache-directory entry (paper Fig. 2a) plus the line's data.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CacheLine {
-    /// Line contents (word version stamps).
-    pub data: BlockData,
-    /// Whether the line holds a valid copy.
-    pub valid: bool,
-    /// Per-word dirty bits, bit `w` = word `w` modified locally.
-    pub dirty: u64,
-    /// Update bit: enrolled in the block's read-update list.
-    pub update: bool,
-    /// CBL lock field.
-    pub lock: LockField,
-    /// Previous node in the (update or lock) linked list.
-    pub prev: Option<NodeId>,
-    /// Next node in the (update or lock) linked list.
-    pub next: Option<NodeId>,
-    /// Lock mode requested by `next`, remembered from the forward that
-    /// enqueued it (needed to decide grant sharing on release).
-    pub next_mode: Option<LockMode>,
-}
-
-impl CacheLine {
-    /// A fresh invalid line for blocks of `k` words.
-    pub fn new(k: u8) -> Self {
-        Self {
-            data: BlockData::new(k),
-            valid: false,
-            dirty: 0,
-            update: false,
-            lock: LockField::None,
-            prev: None,
-            next: None,
-            next_mode: None,
-        }
-    }
-
-    /// Marks word `w` dirty.
-    pub fn mark_dirty(&mut self, w: u8) {
-        debug_assert!((w as usize) < self.data.words().len());
-        self.dirty |= 1 << w;
-    }
-
-    /// True if any word is dirty.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty != 0
-    }
-
-    /// Number of dirty words (the write-back payload size under RIC).
-    pub fn dirty_words(&self) -> u32 {
-        self.dirty.count_ones()
-    }
-
-    /// Clears dirty state (after write-back).
-    pub fn clean(&mut self) {
-        self.dirty = 0;
-    }
-
-    /// Installs fresh data from memory, making the line valid and clean.
-    pub fn fill(&mut self, data: BlockData) {
-        self.data = data;
-        self.valid = true;
-        self.dirty = 0;
-    }
-
-    /// Invalidates the line and detaches it from any list.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-        self.dirty = 0;
-        self.update = false;
-        self.lock = LockField::None;
-        self.prev = None;
-        self.next = None;
-        self.next_mode = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn dirty_bit_tracking() {
-        let mut l = CacheLine::new(4);
-        assert!(!l.is_dirty());
-        l.mark_dirty(0);
-        l.mark_dirty(3);
-        assert_eq!(l.dirty_words(), 2);
-        assert_eq!(l.dirty, 0b1001);
-        l.clean();
-        assert!(!l.is_dirty());
-    }
-
-    #[test]
-    fn fill_resets_dirty() {
-        let mut l = CacheLine::new(4);
-        l.mark_dirty(1);
-        let mut d = BlockData::new(4);
-        d.set(2, 99);
-        l.fill(d);
-        assert!(l.valid);
-        assert!(!l.is_dirty());
-        assert_eq!(l.data.get(2), 99);
-    }
-
-    #[test]
-    fn invalidate_detaches() {
-        let mut l = CacheLine::new(4);
-        l.valid = true;
-        l.update = true;
-        l.prev = Some(3);
-        l.next = Some(5);
-        l.lock = LockField::Held(LockMode::Read);
-        l.invalidate();
-        assert!(!l.valid && !l.update);
-        assert_eq!(l.prev, None);
-        assert_eq!(l.next, None);
-        assert_eq!(l.lock, LockField::None);
-    }
 
     #[test]
     fn inline_and_heap_blocks_behave_identically() {

@@ -13,22 +13,21 @@
 //! experiments can verify the assumption and ablations can probe it.
 
 use crate::addr::BlockId;
-use crate::line::CacheLine;
 
 /// Error: the lock cache has no free entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockCacheFull;
 
-/// A small fully-associative cache for lock lines.
+/// A small fully-associative cache for lock lines. It tracks only which
+/// locks are resident: the lock field and queue pointers of each line live
+/// in [`crate::cbl::LockQueue`].
 #[derive(Debug, Clone)]
 pub struct LockCache {
-    entries: Vec<(BlockId, CacheLine)>,
+    entries: Vec<BlockId>,
     capacity: usize,
     /// Overflow attempts observed (should stay 0 under the paper's
     /// conservative-mapping assumption).
     pub overflows: u64,
-    /// High-water mark of simultaneous lock lines.
-    pub peak: usize,
 }
 
 impl LockCache {
@@ -39,7 +38,6 @@ impl LockCache {
             entries: Vec::with_capacity(capacity),
             capacity,
             overflows: 0,
-            peak: 0,
         }
     }
 
@@ -55,45 +53,31 @@ impl LockCache {
 
     /// Whether a line for `block` is resident.
     pub fn contains(&self, block: BlockId) -> bool {
-        self.entries.iter().any(|(b, _)| *b == block)
+        self.entries.contains(&block)
     }
 
-    /// Immutable access.
-    pub fn get(&self, block: BlockId) -> Option<&CacheLine> {
-        self.entries
-            .iter()
-            .find(|(b, _)| *b == block)
-            .map(|(_, l)| l)
-    }
-
-    /// Mutable access.
-    pub fn get_mut(&mut self, block: BlockId) -> Option<&mut CacheLine> {
-        self.entries
-            .iter_mut()
-            .find(|(b, _)| *b == block)
-            .map(|(_, l)| l)
-    }
-
-    /// Inserts a line for `block`. Fails (and counts an overflow) when full;
+    /// Makes `block` resident. Fails (and counts an overflow) when full;
     /// lock lines are never evicted implicitly.
-    pub fn try_insert(&mut self, block: BlockId, line: CacheLine) -> Result<(), LockCacheFull> {
-        if let Some(existing) = self.get_mut(block) {
-            *existing = line;
+    pub fn try_insert(&mut self, block: BlockId) -> Result<(), LockCacheFull> {
+        if self.contains(block) {
             return Ok(());
         }
         if self.entries.len() >= self.capacity {
             self.overflows += 1;
             return Err(LockCacheFull);
         }
-        self.entries.push((block, line));
-        self.peak = self.peak.max(self.entries.len());
+        self.entries.push(block);
         Ok(())
     }
 
-    /// Removes the line for `block` (when the lock activity on it ends).
-    pub fn remove(&mut self, block: BlockId) -> Option<CacheLine> {
-        let pos = self.entries.iter().position(|(b, _)| *b == block)?;
-        Some(self.entries.remove(pos).1)
+    /// Drops `block` (when the lock activity on it ends); returns whether
+    /// it was resident.
+    pub fn remove(&mut self, block: BlockId) -> bool {
+        let Some(pos) = self.entries.iter().position(|&b| b == block) else {
+            return false;
+        };
+        self.entries.remove(pos);
+        true
     }
 }
 
@@ -101,49 +85,34 @@ impl LockCache {
 mod tests {
     use super::*;
 
-    fn line() -> CacheLine {
-        CacheLine::new(4)
-    }
-
     #[test]
     fn insert_get_remove() {
         let mut lc = LockCache::new(2);
-        lc.try_insert(10, line()).unwrap();
+        lc.try_insert(10).unwrap();
         assert!(lc.contains(10));
-        assert!(lc.get(10).is_some());
-        assert!(lc.remove(10).is_some());
+        assert_eq!(lc.len(), 1);
+        assert!(lc.remove(10));
         assert!(!lc.contains(10));
-        assert!(lc.remove(10).is_none());
+        assert!(!lc.remove(10));
     }
 
     #[test]
     fn overflow_is_explicit() {
         let mut lc = LockCache::new(2);
-        lc.try_insert(1, line()).unwrap();
-        lc.try_insert(2, line()).unwrap();
-        assert_eq!(lc.try_insert(3, line()), Err(LockCacheFull));
+        lc.try_insert(1).unwrap();
+        lc.try_insert(2).unwrap();
+        assert_eq!(lc.try_insert(3), Err(LockCacheFull));
         assert_eq!(lc.overflows, 1);
         // reinsertion of a resident block is not an overflow
-        lc.try_insert(1, line()).unwrap();
+        lc.try_insert(1).unwrap();
         assert_eq!(lc.overflows, 1);
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut lc = LockCache::new(4);
-        lc.try_insert(1, line()).unwrap();
-        lc.try_insert(2, line()).unwrap();
-        lc.remove(1);
-        lc.try_insert(3, line()).unwrap();
-        assert_eq!(lc.peak, 2);
-        assert_eq!(lc.len(), 2);
     }
 
     #[test]
     fn never_evicts_silently() {
         let mut lc = LockCache::new(1);
-        lc.try_insert(1, line()).unwrap();
-        let _ = lc.try_insert(2, line());
+        lc.try_insert(1).unwrap();
+        let _ = lc.try_insert(2);
         assert!(lc.contains(1), "resident lock line must survive overflow");
         assert!(!lc.contains(2));
     }

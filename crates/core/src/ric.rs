@@ -2,11 +2,11 @@
 //!
 //! Instead of the writer deciding how to keep readers coherent (invalidate
 //! or update), readers *opt in* to updates: `READ-UPDATE` fetches the block
-//! and enrolls the reader in the block's update list; `RESET-UPDATE` (or a
-//! line replacement) leaves it. The list is a doubly-linked list threaded
-//! through the enrolled cache lines; the central directory stores only its
-//! head (Fig. 2b). When a `WRITE-GLOBAL` updates memory, memory pushes the
-//! updated block to the head, and each member forwards it to its successor.
+//! and enrolls the reader in the block's update list; `RESET-UPDATE` leaves
+//! it. The list is a doubly-linked list threaded through the enrolled
+//! cache lines; the central directory stores only its head (Fig. 2b). When
+//! a `WRITE-GLOBAL` updates memory, memory pushes the updated block to the
+//! head, and each member forwards it to its successor.
 //!
 //! Compared with classic write-update protocols the reader set is *live*:
 //! a reader that stops caring stops receiving updates, and "a smart
@@ -16,7 +16,10 @@
 //! Like [`crate::cbl`], this module is a pure message-level state machine;
 //! list pointer surgery is applied atomically at the initiating event (the
 //! fix-up messages are emitted for cost accounting, their delivery is a
-//! no-op — see the modelling note in `cbl`).
+//! no-op — see the modelling note in `cbl`). The controller also keeps
+//! every node's cached copy of the block (Fig. 2a: data, valid bit, update
+//! bit): a read reply installs it, a push refreshes it, and the machine's
+//! hit checks read it.
 //!
 //! A member that leaves while an update push is in flight towards it simply
 //! drops the push ([`RicEffect::UpdateDropped`]); downstream members miss
@@ -33,15 +36,10 @@ use crate::line::BlockData;
 /// RIC protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RicKind {
-    /// Node → directory: plain read miss (fetch, no enrollment).
-    ReadMiss,
     /// Node → directory: fetch and enroll in the update list.
     ReadUpdateReq,
-    /// Directory → node: block data in response to either read.
-    ReadReply {
-        /// Whether the requester was enrolled.
-        enrolled: bool,
-    },
+    /// Directory → node: block data in response to `READ-UPDATE`.
+    ReadReply,
     /// Node → directory: `READ-GLOBAL` (bypass cache, one word).
     ReadGlobalReq {
         /// Word offset requested.
@@ -91,15 +89,11 @@ pub struct RicMsg {
 /// Externally visible effects, consumed by the machine simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RicEffect {
-    /// Block data arrived at `node` in response to a read; install it in
-    /// the cache (setting the update bit if `enrolled`).
+    /// Block data arrived at `node` in response to `READ-UPDATE` and is
+    /// installed as its copy, with the update bit set.
     Filled {
         /// Receiving node.
         node: NodeId,
-        /// Block contents.
-        data: BlockData,
-        /// Whether the node is now on the update list.
-        enrolled: bool,
     },
     /// The node's global write `wid` is globally performed; retire the
     /// write-buffer entry.
@@ -109,12 +103,11 @@ pub enum RicEffect {
         /// Write-buffer id.
         wid: u64,
     },
-    /// A pushed update arrived; refresh the cached copy.
+    /// A pushed update arrived at a member; its copy is refreshed if it
+    /// is valid with the update bit set.
     UpdateApplied {
         /// Receiving node.
         node: NodeId,
-        /// Fresh block contents.
-        data: BlockData,
     },
     /// A push arrived at a node that had left the list; dropped.
     UpdateDropped {
@@ -138,14 +131,27 @@ struct Member {
     next: Option<NodeId>,
 }
 
+/// A node's cached copy of the block (paper Fig. 2a).
+#[derive(Debug, Clone)]
+struct CachedCopy {
+    data: BlockData,
+    valid: bool,
+    /// Update bit: set by the enrolling fill, cleared by `RESET-UPDATE`.
+    update: bool,
+}
+
 /// The RIC controller for one memory block: the authoritative memory copy,
-/// the central-directory head pointer, and the members' list linkage.
+/// the central-directory head pointer, the members' list linkage, and
+/// every node's cached copy.
 #[derive(Debug, Clone)]
 pub struct UpdateList {
     block_words: u32,
     mem: BlockData,
     head: Option<NodeId>,
     members: BTreeMap<NodeId, Member>,
+    /// Indexed by node; grows on a node's first fill, so building a list
+    /// allocates nothing.
+    copies: Vec<CachedCopy>,
 }
 
 impl UpdateList {
@@ -156,6 +162,7 @@ impl UpdateList {
             mem: BlockData::new(block_words),
             head: None,
             members: BTreeMap::new(),
+            copies: Vec::new(),
         }
     }
 
@@ -182,10 +189,45 @@ impl UpdateList {
         &self.mem
     }
 
-    /// Directly writes memory (used by other protocols sharing the block,
-    /// e.g. a CBL release write-back merging dirty words).
-    pub fn mem_mut(&mut self) -> &mut BlockData {
-        &mut self.mem
+    /// Word `word` of `node`'s copy, if the copy is valid (a read hit).
+    pub fn cached(&self, node: NodeId, word: u8) -> Option<u64> {
+        self.copies
+            .get(node)
+            .filter(|c| c.valid)
+            .map(|c| c.data.get(word))
+    }
+
+    /// Whether `node` holds a valid copy with the update bit set, so a
+    /// `READ-UPDATE` is serviced locally.
+    pub fn has_update(&self, node: NodeId) -> bool {
+        self.copies.get(node).is_some_and(|c| c.valid && c.update)
+    }
+
+    /// Nodes holding a valid copy with the update bit set, ascending.
+    pub fn update_holders(&self) -> Vec<NodeId> {
+        (0..self.copies.len())
+            .filter(|&n| self.has_update(n))
+            .collect()
+    }
+
+    /// The processor stores `value` to `word`: a valid copy takes it, so
+    /// the node reads its own write.
+    pub fn store(&mut self, node: NodeId, word: u8, value: u64) {
+        if let Some(c) = self.copies.get_mut(node).filter(|c| c.valid) {
+            c.data.set(word, value);
+        }
+    }
+
+    fn copy_mut(&mut self, node: NodeId) -> &mut CachedCopy {
+        if node >= self.copies.len() {
+            let blank = CachedCopy {
+                data: BlockData::new(self.mem.len()),
+                valid: false,
+                update: false,
+            };
+            self.copies.resize(node + 1, blank);
+        }
+        &mut self.copies[node]
     }
 
     /// Current update-list membership, head first.
@@ -215,15 +257,6 @@ impl UpdateList {
     /// True when nobody is enrolled.
     pub fn is_empty(&self) -> bool {
         self.members.is_empty()
-    }
-
-    /// Processor issues a plain read miss (no enrollment).
-    pub fn read_miss(&mut self, node: NodeId) -> Vec<RicMsg> {
-        vec![Self::ctl(
-            Endpoint::Node(node),
-            Endpoint::Dir,
-            RicKind::ReadMiss,
-        )]
     }
 
     /// Processor issues `READ-UPDATE` (cache miss or update bit clear).
@@ -261,10 +294,13 @@ impl UpdateList {
         )]
     }
 
-    /// Processor issues `RESET-UPDATE`, or the cache replaces an enrolled
-    /// line: leave the list. Pointer surgery is atomic; the returned
-    /// messages are the fix-up traffic (accounting).
+    /// Processor issues `RESET-UPDATE`: clear the copy's update bit and
+    /// leave the list. Pointer surgery is atomic; the returned messages are
+    /// the fix-up traffic (accounting).
     pub fn leave(&mut self, node: NodeId) -> Vec<RicMsg> {
+        if let Some(c) = self.copies.get_mut(node) {
+            c.update = false;
+        }
         let Some(m) = self.members.remove(&node) else {
             return vec![]; // idempotent: already gone
         };
@@ -298,14 +334,6 @@ impl UpdateList {
             panic!("directory message from directory: {msg:?}");
         };
         match msg.kind {
-            RicKind::ReadMiss => (
-                vec![self.data_msg(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::ReadReply { enrolled: false },
-                )],
-                vec![],
-            ),
             RicKind::ReadUpdateReq => {
                 let mut msgs = Vec::new();
                 if !self.is_member(src) {
@@ -328,7 +356,7 @@ impl UpdateList {
                 msgs.push(self.data_msg(
                     Endpoint::Dir,
                     Endpoint::Node(src),
-                    RicKind::ReadReply { enrolled: true },
+                    RicKind::ReadReply,
                 ));
                 (msgs, vec![])
             }
@@ -359,14 +387,16 @@ impl UpdateList {
 
     fn deliver_at_node(&mut self, node: NodeId, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
         match msg.kind {
-            RicKind::ReadReply { enrolled } => (
-                vec![],
-                vec![RicEffect::Filled {
-                    node,
-                    data: self.mem.clone(),
-                    enrolled,
-                }],
-            ),
+            RicKind::ReadReply => {
+                // The update bit is set even if the node left the list
+                // while the reply was in flight.
+                let data = self.mem.clone();
+                let c = self.copy_mut(node);
+                c.data = data;
+                c.valid = true;
+                c.update = true;
+                (vec![], vec![RicEffect::Filled { node }])
+            }
             RicKind::ReadGlobalReply { word } => (
                 vec![],
                 vec![RicEffect::ReadValue {
@@ -387,13 +417,12 @@ impl UpdateList {
                                 RicKind::UpdatePush,
                             ));
                         }
-                        (
-                            msgs,
-                            vec![RicEffect::UpdateApplied {
-                                node,
-                                data: self.mem.clone(),
-                            }],
-                        )
+                        if let Some(c) = self.copies.get_mut(node) {
+                            if c.valid && c.update {
+                                c.data = self.mem.clone();
+                            }
+                        }
+                        (msgs, vec![RicEffect::UpdateApplied { node }])
                     }
                     // Left the list while the push was in flight.
                     None => (vec![], vec![RicEffect::UpdateDropped { node }]),
@@ -486,23 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn read_miss_fetches_without_enrolling() {
-        let mut h = Harness::new();
-        let m = h.u.read_miss(3);
-        h.send(m);
-        h.drain();
-        assert!(!h.u.is_member(3));
-        assert!(matches!(
-            h.effects[0],
-            RicEffect::Filled {
-                node: 3,
-                enrolled: false,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn read_update_enrolls_at_head() {
         let mut h = Harness::new();
         for n in [5, 2, 9] {
@@ -538,11 +550,9 @@ mod tests {
             .effects
             .iter()
             .any(|e| matches!(e, RicEffect::WriteDone { node: 7, wid: 0 })));
-        // pushed data is fresh
-        for e in &h.effects {
-            if let RicEffect::UpdateApplied { data, .. } = e {
-                assert_eq!(data.get(1), 42);
-            }
+        // the members' copies are fresh
+        for n in [0, 1, 2] {
+            assert_eq!(h.u.cached(n, 1), Some(42));
         }
     }
 

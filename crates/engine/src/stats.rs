@@ -189,8 +189,6 @@ counters! {
     MsgRicReadGlobal, MSG_RIC_READ_GLOBAL => "msg.ric.read_global";
     /// RIC global read reply.
     MsgRicReadGlobalReply, MSG_RIC_READ_GLOBAL_REPLY => "msg.ric.read_global_reply";
-    /// RIC read miss to home memory.
-    MsgRicReadMiss, MSG_RIC_READ_MISS => "msg.ric.read_miss";
     /// RIC read reply with data.
     MsgRicReadReply, MSG_RIC_READ_REPLY => "msg.ric.read_reply";
     /// RIC read that joins the update list.

@@ -202,8 +202,6 @@ pub struct MachineConfig {
     pub lock_cache_capacity: usize,
     /// Write-buffer capacity (`None` = infinite, the paper's assumption).
     pub write_buffer_capacity: Option<usize>,
-    /// Under RIC, shared-read misses enroll in the update list by default.
-    pub auto_read_update: bool,
     /// Probability that a private miss evicts a dirty victim.
     pub private_dirty_victim: f64,
     /// Private-reference hit ratio (Table 4: 0.95).
@@ -262,7 +260,6 @@ impl MachineConfig {
             mem: MemTiming::default(),
             lock_cache_capacity: 8,
             write_buffer_capacity: None,
-            auto_read_update: true,
             private_dirty_victim: 0.3,
             private_hit_ratio: 0.95,
             private_mode: PrivateMode::Probabilistic,

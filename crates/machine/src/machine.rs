@@ -29,7 +29,7 @@ use ssmp_coherence::{
 use ssmp_core::addr::{BlockId, NodeId};
 use ssmp_core::barrier::{BarEffect, BarKind, BarMsg, HwBarrier};
 use ssmp_core::cbl::{CblEffect, CblKind, CblMsg, Endpoint, LockQueue};
-use ssmp_core::line::{BlockData, CacheLine};
+use ssmp_core::line::BlockData;
 use ssmp_core::primitive::{AccessClass, LockMode};
 use ssmp_core::ric::{RicEffect, RicMsg, UpdateList};
 use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind, SemMsg};
@@ -457,9 +457,7 @@ impl Machine {
                 Node::new(
                     id,
                     &master,
-                    cfg.geometry.shared_blocks.max(64),
                     cfg.lock_cache_capacity,
-                    bw,
                     cfg.write_buffer_capacity,
                 )
             })
@@ -865,13 +863,7 @@ impl Machine {
                     let at = self.completion;
                     for (block, u) in self.ric.iter().enumerate() {
                         let members = u.members_in_order();
-                        let cached: Vec<NodeId> = self
-                            .nodes
-                            .iter()
-                            .filter(|n| n.cache.peek(block).is_some_and(|l| l.valid && l.update))
-                            .map(|n| n.id)
-                            .collect();
-                        checker.ric_membership(block, &members, &cached, at);
+                        checker.ric_membership(block, &members, &u.update_holders(), at);
                         checker.structural("ric.list", at, u.check_list());
                     }
                     for b in &self.coh[..self.data_lines()] {
@@ -1012,9 +1004,8 @@ impl Machine {
                 }
             },
             Proto::Ric { msg, .. } => match msg.kind {
-                ssmp_core::ric::RicKind::ReadMiss => CounterId::MsgRicReadMiss,
                 ssmp_core::ric::RicKind::ReadUpdateReq => CounterId::MsgRicReadUpdate,
-                ssmp_core::ric::RicKind::ReadReply { .. } => CounterId::MsgRicReadReply,
+                ssmp_core::ric::RicKind::ReadReply => CounterId::MsgRicReadReply,
                 ssmp_core::ric::RicKind::ReadGlobalReq { .. } => CounterId::MsgRicReadGlobal,
                 ssmp_core::ric::RicKind::ReadGlobalReply { .. } => CounterId::MsgRicReadGlobalReply,
                 ssmp_core::ric::RicKind::WriteGlobal { .. } => CounterId::MsgRicWriteGlobal,
@@ -1742,22 +1733,15 @@ impl Machine {
     fn apply_ric_effects(&mut self, block: BlockId, effects: Vec<RicEffect>, t: Cycle) {
         for e in effects {
             match e {
-                RicEffect::Filled {
-                    node,
-                    data,
-                    enrolled,
-                } => {
+                RicEffect::Filled { node } => {
                     if let Some(addr) = self.nodes[node].pending_record.take() {
                         if addr.block == block {
-                            let v = data.get(addr.word);
-                            self.record_read(node, addr, v);
+                            let v = self.ric[block].cached(node, addr.word);
+                            self.record_read(node, addr, v.expect("a fill installs a valid copy"));
                         } else {
                             self.nodes[node].pending_record = Some(addr);
                         }
                     }
-                    let (line, _) = self.nodes[node].cache.entry(block);
-                    line.fill(data);
-                    line.update = enrolled;
                     if self.nodes[node].waiting == Waiting::Fill {
                         self.resume_from(node, Waiting::Fill, t);
                     }
@@ -1797,18 +1781,9 @@ impl Machine {
                         self.flush_done(node, t);
                     }
                 }
-                RicEffect::UpdateApplied { node, data } => {
+                RicEffect::UpdateApplied { node } => {
                     self.counters.bump_id(CounterId::RicUpdateApplied);
                     self.trace_access(t, node as i64, Family::Ric, "update.apply", block, 0);
-                    if let Some(line) = self.nodes[node].cache.get_mut(block) {
-                        if line.valid && line.update {
-                            // merge: keep locally-dirty words
-                            let keep = line.dirty;
-                            let mut merged = data;
-                            merged.merge_masked(&line.data, keep);
-                            line.data = merged;
-                        }
-                    }
                 }
                 RicEffect::UpdateDropped { .. } => {
                     self.counters.bump_id(CounterId::RicUpdateDropped);
@@ -2285,12 +2260,7 @@ impl Machine {
                 self.trace_access(now, node as i64, fam, "read", addr.block, addr.word);
                 match self.cfg.data {
                     DataScheme::Ric => {
-                        let hit_value = self.nodes[node]
-                            .cache
-                            .peek(addr.block)
-                            .filter(|l| l.valid)
-                            .map(|l| l.data.get(addr.word));
-                        if let Some(v) = hit_value {
+                        if let Some(v) = self.ric[addr.block].cached(node, addr.word) {
                             self.counters.bump_id(CounterId::SharedReadHit);
                             self.record_read(node, addr, v);
                             self.events.schedule(now + 1, Ev::Resume(node));
@@ -2299,11 +2269,7 @@ impl Machine {
                             if self.wants_reads() {
                                 self.nodes[node].pending_record = Some(addr);
                             }
-                            let msgs = if self.cfg.auto_read_update {
-                                self.ric[addr.block].read_update(node)
-                            } else {
-                                self.ric[addr.block].read_miss(node)
-                            };
+                            let msgs = self.ric[addr.block].read_update(node);
                             self.route_all_ric(now, addr.block, msgs);
                             self.stall_node(node, Waiting::Fill, now);
                         }
@@ -2397,11 +2363,7 @@ impl Machine {
                 match self.cfg.data {
                     DataScheme::Ric => {
                         // Keep the local copy fresh for our own reads.
-                        if let Some(line) = self.nodes[node].cache.get_mut(addr.block) {
-                            if line.valid {
-                                line.data.set(addr.word, stamp);
-                            }
-                        }
+                        self.ric[addr.block].store(node, addr.word, stamp);
                         match self.nodes[node].wbuf.push(addr, stamp) {
                             Enqueue::Accepted(wid) => {
                                 self.record_write(node, addr.block, addr.word, stamp);
@@ -2486,12 +2448,7 @@ impl Machine {
             }
             Op::ReadUpdate(block) => match self.cfg.data {
                 DataScheme::Ric => {
-                    let enrolled = self.nodes[node]
-                        .cache
-                        .peek(block)
-                        .map(|l| l.valid && l.update)
-                        .unwrap_or(false);
-                    if enrolled {
+                    if self.ric[block].has_update(node) {
                         self.events.schedule(now + 1, Ev::Resume(node));
                     } else {
                         let msgs = self.ric[block].read_update(node);
@@ -2509,9 +2466,6 @@ impl Machine {
             },
             Op::ResetUpdate(block) => {
                 if self.cfg.data == DataScheme::Ric {
-                    if let Some(line) = self.nodes[node].cache.get_mut(block) {
-                        line.update = false;
-                    }
                     let len_before = self.tracer.is_on().then(|| self.ric[block].len());
                     let msgs = self.ric[block].leave(node);
                     self.emit_ric_len_change(block, len_before, now);
@@ -2537,8 +2491,7 @@ impl Machine {
                             self.stall_node(node, Waiting::LineFree(lock), now);
                             return;
                         }
-                        let line = CacheLine::new(self.cfg.geometry.block_words);
-                        let _ = self.nodes[node].lock_cache.try_insert(lock, line);
+                        let _ = self.nodes[node].lock_cache.try_insert(lock);
                         let msgs = self.cbl[lock].request(node, mode);
                         self.route_all_cbl(now, lock, msgs);
                         self.stall_node(node, Waiting::LockGrant(lock), now);

@@ -1,10 +1,10 @@
-//! Per-node state: processor status, caches, write buffer, and the small
-//! state machines for software synchronization.
+//! Per-node state: processor status, lock cache, write buffer, and the
+//! small state machines for software synchronization. A node's copies of
+//! RIC blocks live with the block's controller (`ssmp_core::ric`).
 
 use std::collections::{BTreeMap, VecDeque};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::cache::DataCache;
 use ssmp_core::lockcache::LockCache;
 use ssmp_core::wbuf::WriteBuffer;
 use ssmp_engine::{Cycle, SimRng};
@@ -111,8 +111,6 @@ pub struct Node {
     pub id: NodeId,
     /// Node-private PRNG (forked from the machine seed).
     pub rng: SimRng,
-    /// Cache for shared data blocks (RIC state lives here).
-    pub cache: DataCache,
     /// The fully-associative lock cache (capacity accounting for CBL).
     pub lock_cache: LockCache,
     /// The write buffer (buffered consistency).
@@ -153,19 +151,17 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates node `id` with forked RNG and sized caches.
+    /// Creates node `id` with forked RNG and sized lock cache and write
+    /// buffer.
     pub fn new(
         id: NodeId,
         master: &SimRng,
-        cache_capacity: usize,
         lock_cache_capacity: usize,
-        block_words: u8,
         wbuf_capacity: Option<usize>,
     ) -> Self {
         Self {
             id,
             rng: master.fork(id as u64),
-            cache: DataCache::fully_associative(cache_capacity, block_words),
             lock_cache: LockCache::new(lock_cache_capacity),
             wbuf: match wbuf_capacity {
                 Some(n) => WriteBuffer::bounded(n),
@@ -233,7 +229,7 @@ mod tests {
     #[test]
     fn stall_accounting() {
         let master = SimRng::new(1);
-        let mut n = Node::new(0, &master, 64, 8, 4, None);
+        let mut n = Node::new(0, &master, 8, None);
         n.stall(Waiting::Fill, 10);
         assert_eq!(n.waiting, Waiting::Fill);
         n.unstall(25);
@@ -246,7 +242,7 @@ mod tests {
     #[should_panic(expected = "double stall")]
     fn double_stall_panics() {
         let master = SimRng::new(1);
-        let mut n = Node::new(0, &master, 64, 8, 4, None);
+        let mut n = Node::new(0, &master, 8, None);
         n.stall(Waiting::Fill, 1);
         n.stall(Waiting::Flush, 2);
     }
@@ -254,8 +250,8 @@ mod tests {
     #[test]
     fn forked_rngs_differ_between_nodes() {
         let master = SimRng::new(7);
-        let mut a = Node::new(0, &master, 64, 8, 4, None);
-        let mut b = Node::new(1, &master, 64, 8, 4, None);
+        let mut a = Node::new(0, &master, 8, None);
+        let mut b = Node::new(1, &master, 8, None);
         let same = (0..32)
             .filter(|_| a.rng.next_u64() == b.rng.next_u64())
             .count();
