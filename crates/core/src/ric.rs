@@ -18,8 +18,10 @@
 //! fix-up messages are emitted for cost accounting, their delivery is a
 //! no-op — see the modelling note in `cbl`). The controller also keeps
 //! every node's cached copy of the block (Fig. 2a: data, valid bit, update
-//! bit): a read reply installs it, a push refreshes it, and the machine's
-//! hit checks read it.
+//! bit, per-word dirty bits): a read reply installs it, a push refreshes
+//! it, and the machine's hit checks read it. A node's store marks its word
+//! dirty until the home applies it, and fills and pushes keep dirty words,
+//! so a node always reads its own latest write.
 //!
 //! A member that leaves while an update push is in flight towards it simply
 //! drops the push ([`RicEffect::UpdateDropped`]); downstream members miss
@@ -138,6 +140,20 @@ struct CachedCopy {
     valid: bool,
     /// Update bit: set by the enrolling fill, cleared by `RESET-UPDATE`.
     update: bool,
+    /// Bit `w` set while the node's latest store to word `w` is not yet
+    /// applied at the home.
+    dirty: u64,
+    /// Write-buffer id of the node's latest store to each dirty word.
+    wids: BlockData,
+}
+
+impl CachedCopy {
+    /// Takes the words of `mem`, keeping the dirty ones.
+    fn refresh(&mut self, mem: &BlockData) {
+        let mut data = mem.clone();
+        data.merge_masked(&self.data, self.dirty);
+        self.data = data;
+    }
 }
 
 /// The RIC controller for one memory block: the authoritative memory copy,
@@ -210,24 +226,31 @@ impl UpdateList {
             .collect()
     }
 
-    /// The processor stores `value` to `word`: a valid copy takes it, so
-    /// the node reads its own write.
-    pub fn store(&mut self, node: NodeId, word: u8, value: u64) {
-        if let Some(c) = self.copies.get_mut(node).filter(|c| c.valid) {
-            c.data.set(word, value);
-        }
+    /// The processor stores `value` to `word`, buffered as write `wid`:
+    /// the node's copy, valid or not, takes the word and marks it dirty
+    /// until the home applies that write.
+    pub fn store(&mut self, node: NodeId, word: u8, value: u64, wid: u64) {
+        self.grow(node);
+        let c = &mut self.copies[node];
+        c.data.set(word, value);
+        c.dirty |= 1 << word;
+        c.wids.set(word, wid);
     }
 
-    fn copy_mut(&mut self, node: NodeId) -> &mut CachedCopy {
+    /// Makes room for `node`'s copy: a node's first store or fill creates
+    /// it invalid.
+    fn grow(&mut self, node: NodeId) {
         if node >= self.copies.len() {
+            let k = self.mem.len();
             let blank = CachedCopy {
-                data: BlockData::new(self.mem.len()),
+                data: BlockData::new(k),
                 valid: false,
                 update: false,
+                dirty: 0,
+                wids: BlockData::new(k),
             };
             self.copies.resize(node + 1, blank);
         }
-        &mut self.copies[node]
     }
 
     /// Current update-list membership, head first.
@@ -370,6 +393,13 @@ impl UpdateList {
             ),
             RicKind::WriteGlobal { word, value, wid } => {
                 self.mem.set(word, value);
+                // The writer's latest store to the word is now in memory,
+                // so later pushes and fills may overwrite it.
+                if let Some(c) = self.copies.get_mut(src) {
+                    if c.dirty & (1 << word) != 0 && c.wids.get(word) == wid {
+                        c.dirty &= !(1 << word);
+                    }
+                }
                 let mut msgs = vec![Self::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(src),
@@ -390,9 +420,9 @@ impl UpdateList {
             RicKind::ReadReply => {
                 // The update bit is set even if the node left the list
                 // while the reply was in flight.
-                let data = self.mem.clone();
-                let c = self.copy_mut(node);
-                c.data = data;
+                self.grow(node);
+                let c = &mut self.copies[node];
+                c.refresh(&self.mem);
                 c.valid = true;
                 c.update = true;
                 (vec![], vec![RicEffect::Filled { node }])
@@ -419,7 +449,7 @@ impl UpdateList {
                         }
                         if let Some(c) = self.copies.get_mut(node) {
                             if c.valid && c.update {
-                                c.data = self.mem.clone();
+                                c.refresh(&self.mem);
                             }
                         }
                         (msgs, vec![RicEffect::UpdateApplied { node }])
@@ -501,6 +531,31 @@ mod tests {
                 self.wire.extend(msgs);
                 self.effects.extend(eff);
             }
+        }
+
+        /// Delivers the first in-flight message matching `pick`.
+        fn deliver_first(&mut self, pick: impl Fn(&RicMsg) -> bool) {
+            let i = self.wire.iter().position(pick).expect("no such message");
+            let m = self.wire.remove(i).unwrap();
+            let (msgs, eff) = self.u.deliver(m);
+            self.messages += msgs.len();
+            self.wire.extend(msgs);
+            self.effects.extend(eff);
+        }
+
+        fn enroll(&mut self, nodes: &[NodeId]) {
+            for &n in nodes {
+                let m = self.u.read_update(n);
+                self.send(m);
+                self.drain();
+            }
+        }
+
+        /// `node` stores `value` to `word` and sends the buffered write.
+        fn store(&mut self, node: NodeId, word: u8, value: u64, wid: u64) {
+            self.u.store(node, word, value, wid);
+            let m = self.u.write_global(node, word, value, wid);
+            self.send(m);
         }
 
         fn updates_applied_to(&self) -> Vec<NodeId> {
@@ -701,10 +756,83 @@ mod tests {
         let _ = h.u.read_update(0);
     }
 
+    fn is_push_to(n: NodeId) -> impl Fn(&RicMsg) -> bool {
+        move |m| m.kind == RicKind::UpdatePush && m.dst == Endpoint::Node(n)
+    }
+
+    fn is_write_from(n: NodeId) -> impl Fn(&RicMsg) -> bool {
+        move |m| matches!(m.kind, RicKind::WriteGlobal { .. }) && m.src == Endpoint::Node(n)
+    }
+
+    #[test]
+    fn own_store_survives_a_push_that_precedes_its_apply() {
+        let mut h = Harness::new();
+        h.enroll(&[0, 1]);
+        // Node 1's write reaches memory; its push is on the way to node 0
+        // when node 0 stores to another word.
+        h.store(1, 1, 5, 0);
+        h.deliver_first(is_write_from(1));
+        h.store(0, 0, 77, 0);
+        h.deliver_first(is_push_to(1));
+        h.deliver_first(is_push_to(0));
+        assert_eq!(h.u.mem().get(0), 0, "node 0's write is not applied yet");
+        assert_eq!(h.u.cached(0, 0), Some(77), "the push erased node 0's store");
+        assert_eq!(h.u.cached(0, 1), Some(5), "the push carries node 1's word");
+        h.drain();
+        assert_eq!(h.u.mem().get(0), 77);
+        assert_eq!(h.u.cached(1, 0), Some(77));
+    }
+
+    #[test]
+    fn applied_store_yields_to_a_later_foreign_write() {
+        let mut h = Harness::new();
+        h.enroll(&[0, 1]);
+        h.store(0, 0, 77, 0);
+        h.deliver_first(is_write_from(0));
+        // Node 0's write is in memory, its ack still in flight; node 1
+        // overwrites the word and the push reaches node 0 before the ack.
+        h.store(1, 0, 88, 0);
+        h.deliver_first(is_write_from(1));
+        h.deliver_first(is_push_to(1));
+        h.deliver_first(is_push_to(0));
+        assert_eq!(h.u.cached(0, 0), Some(88), "the later write must win");
+        assert!(h
+            .wire
+            .iter()
+            .any(|m| m.kind == RicKind::WriteAck { wid: 0 } && m.dst == Endpoint::Node(0)));
+        h.drain();
+        assert_eq!(h.u.cached(0, 0), Some(88));
+        assert_eq!(h.u.mem().get(0), 88);
+    }
+
+    #[test]
+    fn store_to_an_invalid_copy_survives_the_enrolling_fill() {
+        let mut h = Harness::new();
+        h.u.store(0, 2, 77, 0);
+        assert_eq!(h.u.cached(0, 2), None, "the copy is not valid yet");
+        let m = h.u.write_global(1, 3, 9, 0);
+        h.send(m);
+        h.drain();
+        let m = h.u.read_update(0);
+        h.send(m);
+        h.drain();
+        assert_eq!(h.u.cached(0, 2), Some(77), "the fill erased the store");
+        assert_eq!(h.u.cached(0, 3), Some(9), "the fill carries memory");
+        // Once the buffered write is applied, memory's word takes over.
+        let m = h.u.write_global(0, 2, 77, 0);
+        h.send(m);
+        h.drain();
+        let m = h.u.write_global(1, 2, 10, 1);
+        h.send(m);
+        h.drain();
+        assert_eq!(h.u.cached(0, 2), Some(10));
+    }
+
     proptest::proptest! {
-        /// Arbitrary join/leave/write interleavings keep the list
-        /// well-formed, and after a drain every current member has observed
-        /// the latest write (via push or its enrollment fill).
+        /// Arbitrary join/leave/store interleavings keep the list
+        /// well-formed; after every drain each valid enrolled copy equals
+        /// memory, and every current member has observed the latest write
+        /// (via push or its enrollment fill).
         #[test]
         fn prop_membership_churn(seed: u64, ops in proptest::collection::vec((0usize..8, 0u8..3), 1..60)) {
             let mut rng = SimRng::new(seed);
@@ -724,13 +852,18 @@ mod tests {
                     }
                     _ => {
                         let w = rng.below(4) as u8;
-                        let m = h.u.write_global(node, w, stamp, stamp);
+                        h.store(node, w, stamp, stamp);
                         stamp += 1;
-                        h.send(m);
                     }
                 }
                 h.drain();
                 h.u.check_list().unwrap();
+                for n in 0..8 {
+                    if h.u.has_update(n) {
+                        let copy: Vec<u64> = (0..4).map(|w| h.u.cached(n, w).unwrap()).collect();
+                        proptest::prop_assert_eq!(copy.as_slice(), h.u.mem().words());
+                    }
+                }
             }
             // After the final drain, push the latest state once more and
             // confirm every member sees it.

@@ -2362,10 +2362,10 @@ impl Machine {
             Op::SharedWriteVal(addr, stamp) => {
                 match self.cfg.data {
                     DataScheme::Ric => {
-                        // Keep the local copy fresh for our own reads.
-                        self.ric[addr.block].store(node, addr.word, stamp);
                         match self.nodes[node].wbuf.push(addr, stamp) {
                             Enqueue::Accepted(wid) => {
+                                // Keep the local copy fresh for our own reads.
+                                self.ric[addr.block].store(node, addr.word, stamp, wid);
                                 self.record_write(node, addr.block, addr.word, stamp);
                                 self.counters.bump_id(CounterId::SharedWriteGlobal);
                                 self.trace_access(

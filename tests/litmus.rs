@@ -165,3 +165,62 @@ fn record_reads_off_keeps_log_empty() {
         .run();
     assert!(r.read_log.is_empty());
 }
+
+/// Both nodes hold enrolled copies of DATA's block. Node 1 writes another
+/// word of it; node 0 writes DATA after `delay` cycles and reads it back
+/// `gap` cycles later. Returns the value node 0 read.
+fn read_own_write(cfg: MachineConfig, delay: u64, gap: u64) -> u64 {
+    let mut cfg = cfg;
+    cfg.record_reads = true;
+    cfg.geometry = Geometry::new(2, 4, 32);
+    let other = SharedAddr::new(DATA.block, 1);
+    let node0 = vec![
+        Op::SharedRead(DATA),
+        Op::Compute(delay),
+        Op::SharedWriteVal(DATA, 77),
+        Op::Compute(gap),
+        Op::SharedRead(DATA),
+    ];
+    let node1 = vec![
+        Op::SharedRead(other),
+        Op::Compute(40),
+        Op::SharedWriteVal(other, 5),
+    ];
+    let r = Machine::builder(cfg)
+        .workload(Box::new(Script::new(vec![node0, node1])))
+        .locks(1)
+        .build()
+        .unwrap()
+        .run();
+    let (.., value) = r
+        .read_log
+        .iter()
+        .filter(|(n, ..)| *n == 0)
+        .last()
+        .expect("node 0 read DATA");
+    *value
+}
+
+/// A push for node 1's earlier write can reach node 0's copy after node
+/// 0's store but before the home applies it; it carries memory without
+/// node 0's value. The store's dirty bit keeps the word, so node 0 reads
+/// its own write. Under SC with delay 39, the push lands one cycle after
+/// the store and the read hits right after the ack.
+#[test]
+fn push_never_erases_a_nodes_own_write() {
+    assert_eq!(read_own_write(MachineConfig::sc_cbl(2), 39, 1), 77);
+    for (name, cfg) in [
+        ("sc-cbl", MachineConfig::sc_cbl(2)),
+        ("bc-cbl", MachineConfig::bc_cbl(2)),
+    ] {
+        for delay in 30..=45 {
+            for gap in [1, 4, 16] {
+                assert_eq!(
+                    read_own_write(cfg.clone(), delay, gap),
+                    77,
+                    "{name}: node 0 lost its own write (delay {delay}, gap {gap})"
+                );
+            }
+        }
+    }
+}
