@@ -376,11 +376,7 @@ impl UpdateList {
                     }
                     self.head = Some(src);
                 }
-                msgs.push(self.data_msg(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::ReadReply,
-                ));
+                msgs.push(self.data_msg(Endpoint::Dir, Endpoint::Node(src), RicKind::ReadReply));
                 (msgs, vec![])
             }
             RicKind::ReadGlobalReq { word } => (
@@ -505,7 +501,6 @@ mod tests {
         u: UpdateList,
         wire: VecDeque<RicMsg>,
         effects: Vec<RicEffect>,
-        messages: usize,
     }
 
     impl Harness {
@@ -514,22 +509,23 @@ mod tests {
                 u: UpdateList::new(4),
                 wire: VecDeque::new(),
                 effects: Vec::new(),
-                messages: 0,
             }
         }
 
         fn send(&mut self, msgs: Vec<RicMsg>) {
-            self.messages += msgs.len();
             self.wire.extend(msgs);
+        }
+
+        fn deliver(&mut self, m: RicMsg) {
+            let (msgs, eff) = self.u.deliver(m);
+            self.u.check_list().unwrap();
+            self.send(msgs);
+            self.effects.extend(eff);
         }
 
         fn drain(&mut self) {
             while let Some(m) = self.wire.pop_front() {
-                let (msgs, eff) = self.u.deliver(m);
-                self.u.check_list().unwrap();
-                self.messages += msgs.len();
-                self.wire.extend(msgs);
-                self.effects.extend(eff);
+                self.deliver(m);
             }
         }
 
@@ -537,12 +533,10 @@ mod tests {
         fn deliver_first(&mut self, pick: impl Fn(&RicMsg) -> bool) {
             let i = self.wire.iter().position(pick).expect("no such message");
             let m = self.wire.remove(i).unwrap();
-            let (msgs, eff) = self.u.deliver(m);
-            self.messages += msgs.len();
-            self.wire.extend(msgs);
-            self.effects.extend(eff);
+            self.deliver(m);
         }
 
+        /// Each node in turn issues `READ-UPDATE`, drained.
         fn enroll(&mut self, nodes: &[NodeId]) {
             for &n in nodes {
                 let m = self.u.read_update(n);
@@ -551,11 +545,23 @@ mod tests {
             }
         }
 
+        /// `node` issues `RESET-UPDATE`, drained.
+        fn leave(&mut self, node: NodeId) {
+            let m = self.u.leave(node);
+            self.send(m);
+            self.drain();
+        }
+
+        /// `node` sends a global write, in flight.
+        fn write(&mut self, node: NodeId, word: u8, value: u64, wid: u64) {
+            let m = self.u.write_global(node, word, value, wid);
+            self.send(m);
+        }
+
         /// `node` stores `value` to `word` and sends the buffered write.
         fn store(&mut self, node: NodeId, word: u8, value: u64, wid: u64) {
             self.u.store(node, word, value, wid);
-            let m = self.u.write_global(node, word, value, wid);
-            self.send(m);
+            self.write(node, word, value, wid);
         }
 
         fn updates_applied_to(&self) -> Vec<NodeId> {
@@ -572,11 +578,7 @@ mod tests {
     #[test]
     fn read_update_enrolls_at_head() {
         let mut h = Harness::new();
-        for n in [5, 2, 9] {
-            let m = h.u.read_update(n);
-            h.send(m);
-            h.drain();
-        }
+        h.enroll(&[5, 2, 9]);
         assert_eq!(
             h.u.members_in_order(),
             vec![9, 2, 5],
@@ -588,14 +590,9 @@ mod tests {
     #[test]
     fn write_pushes_down_the_chain_in_order() {
         let mut h = Harness::new();
-        for n in [0, 1, 2] {
-            let m = h.u.read_update(n);
-            h.send(m);
-            h.drain();
-        }
+        h.enroll(&[0, 1, 2]);
         h.effects.clear();
-        let m = h.u.write_global(7, 1, 42, 0);
-        h.send(m);
+        h.write(7, 1, 42, 0);
         h.drain();
         assert_eq!(h.u.mem().get(1), 42);
         // chain order: head (last enrollee) first
@@ -614,8 +611,7 @@ mod tests {
     #[test]
     fn write_with_no_members_only_acks() {
         let mut h = Harness::new();
-        let m = h.u.write_global(0, 0, 5, 3);
-        h.send(m);
+        h.write(0, 0, 5, 3);
         h.drain();
         assert_eq!(h.effects.len(), 1);
         assert!(matches!(
@@ -627,25 +623,16 @@ mod tests {
     #[test]
     fn leave_middle_and_head() {
         let mut h = Harness::new();
-        for n in [0, 1, 2] {
-            let m = h.u.read_update(n);
-            h.send(m);
-            h.drain();
-        }
+        h.enroll(&[0, 1, 2]);
         // order: 2, 1, 0
-        let m = h.u.leave(1);
-        h.send(m);
-        h.drain();
+        h.leave(1);
         assert_eq!(h.u.members_in_order(), vec![2, 0]);
-        let m = h.u.leave(2); // head
-        h.send(m);
-        h.drain();
+        h.leave(2); // head
         assert_eq!(h.u.members_in_order(), vec![0]);
         h.u.check_list().unwrap();
         // writes now reach only node 0
         h.effects.clear();
-        let m = h.u.write_global(9, 0, 1, 0);
-        h.send(m);
+        h.write(9, 0, 1, 0);
         h.drain();
         assert_eq!(h.updates_applied_to(), vec![0]);
     }
@@ -654,9 +641,7 @@ mod tests {
     fn leave_is_idempotent() {
         let mut h = Harness::new();
         assert!(h.u.leave(4).is_empty());
-        let m = h.u.read_update(4);
-        h.send(m);
-        h.drain();
+        h.enroll(&[4]);
         let m = h.u.leave(4);
         assert!(!m.is_empty());
         h.send(m);
@@ -668,23 +653,12 @@ mod tests {
     #[test]
     fn push_to_departed_member_is_dropped() {
         let mut h = Harness::new();
-        for n in [0, 1] {
-            let m = h.u.read_update(n);
-            h.send(m);
-            h.drain();
-        }
+        h.enroll(&[0, 1]);
         // Write: push to head (1) in flight...
-        let m = h.u.write_global(9, 0, 7, 0);
-        h.send(m);
-        // deliver only the WriteGlobal at dir, putting UpdatePush in flight
-        let wg = h.wire.pop_front().unwrap();
-        let (msgs, eff) = h.u.deliver(wg);
-        h.wire.extend(msgs);
-        h.effects.extend(eff);
+        h.write(9, 0, 7, 0);
+        h.deliver_first(is_write_from(9));
         // ... while the head leaves.
-        let m = h.u.leave(1);
-        h.send(m);
-        h.drain();
+        h.leave(1);
         assert!(h
             .effects
             .iter()
@@ -696,8 +670,7 @@ mod tests {
     #[test]
     fn read_global_returns_memory_value() {
         let mut h = Harness::new();
-        let m = h.u.write_global(0, 2, 31, 0);
-        h.send(m);
+        h.write(0, 2, 31, 0);
         h.drain();
         let m = h.u.read_global(5, 2);
         h.send(m);
@@ -733,15 +706,9 @@ mod tests {
     #[test]
     fn reenroll_after_leave() {
         let mut h = Harness::new();
-        let m = h.u.read_update(0);
-        h.send(m);
-        h.drain();
-        let m = h.u.leave(0);
-        h.send(m);
-        h.drain();
-        let m = h.u.read_update(0);
-        h.send(m);
-        h.drain();
+        h.enroll(&[0]);
+        h.leave(0);
+        h.enroll(&[0]);
         assert!(h.u.is_member(0));
         h.u.check_list().unwrap();
     }
@@ -750,9 +717,7 @@ mod tests {
     #[should_panic(expected = "already enrolled")]
     fn double_enroll_panics() {
         let mut h = Harness::new();
-        let m = h.u.read_update(0);
-        h.send(m);
-        h.drain();
+        h.enroll(&[0]);
         let _ = h.u.read_update(0);
     }
 
@@ -810,20 +775,15 @@ mod tests {
         let mut h = Harness::new();
         h.u.store(0, 2, 77, 0);
         assert_eq!(h.u.cached(0, 2), None, "the copy is not valid yet");
-        let m = h.u.write_global(1, 3, 9, 0);
-        h.send(m);
+        h.write(1, 3, 9, 0);
         h.drain();
-        let m = h.u.read_update(0);
-        h.send(m);
-        h.drain();
+        h.enroll(&[0]);
         assert_eq!(h.u.cached(0, 2), Some(77), "the fill erased the store");
         assert_eq!(h.u.cached(0, 3), Some(9), "the fill carries memory");
         // Once the buffered write is applied, memory's word takes over.
-        let m = h.u.write_global(0, 2, 77, 0);
-        h.send(m);
+        h.write(0, 2, 77, 0);
         h.drain();
-        let m = h.u.write_global(1, 2, 10, 1);
-        h.send(m);
+        h.write(1, 2, 10, 1);
         h.drain();
         assert_eq!(h.u.cached(0, 2), Some(10));
     }
@@ -840,16 +800,9 @@ mod tests {
             let mut stamp = 1u64;
             for (node, op) in ops {
                 match op {
-                    0 => {
-                        if !h.u.is_member(node) {
-                            let m = h.u.read_update(node);
-                            h.send(m);
-                        }
-                    }
-                    1 => {
-                        let m = h.u.leave(node);
-                        h.send(m);
-                    }
+                    0 if !h.u.is_member(node) => h.enroll(&[node]),
+                    0 => {}
+                    1 => h.leave(node),
                     _ => {
                         let w = rng.below(4) as u8;
                         h.store(node, w, stamp, stamp);
@@ -869,8 +822,7 @@ mod tests {
             // confirm every member sees it.
             let members = h.u.members_in_order();
             h.effects.clear();
-            let m = h.u.write_global(0, 0, 999_999, 0);
-            h.send(m);
+            h.write(0, 0, 999_999, 0);
             h.drain();
             let got = h.updates_applied_to();
             proptest::prop_assert_eq!(got, members);

@@ -195,8 +195,7 @@ fn read_own_write(cfg: MachineConfig, delay: u64, gap: u64) -> u64 {
     let (.., value) = r
         .read_log
         .iter()
-        .filter(|(n, ..)| *n == 0)
-        .last()
+        .rfind(|(n, ..)| *n == 0)
         .expect("node 0 read DATA");
     *value
 }

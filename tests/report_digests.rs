@@ -213,7 +213,11 @@ fn cases() -> Vec<(&'static str, &'static str, Option<Extra>)> {
         .flat_map(|&w| CONFIGS.iter().map(move |&c| (w, c, None)))
         .collect();
     out.push(("work-queue", "wbi", Some(Extra::Faults(MsgKind::WbiLock))));
-    out.push(("work-queue", "dragon", Some(Extra::Faults(MsgKind::WbiFlag))));
+    out.push((
+        "work-queue",
+        "dragon",
+        Some(Extra::Faults(MsgKind::WbiFlag)),
+    ));
     out.push(("work-queue", "bc-cbl", Some(Extra::Faults(MsgKind::Ric))));
     out.push(("work-queue", "cbl", Some(Extra::Faults(MsgKind::Cbl))));
     // fft runs READ-UPDATE / RESET-UPDATE phases
