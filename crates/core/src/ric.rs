@@ -165,8 +165,8 @@ pub struct UpdateList {
     mem: BlockData,
     head: Option<NodeId>,
     members: BTreeMap<NodeId, Member>,
-    /// Indexed by node; grows on a node's first fill, so building a list
-    /// allocates nothing.
+    /// Indexed by node; grows on a node's first store or fill, so
+    /// building a list allocates nothing.
     copies: Vec<CachedCopy>,
 }
 
