@@ -152,7 +152,7 @@ fn main() {
                     // The stitcher's hard contracts, enforced on every
                     // point: exact-sum segments and a clean stitch.
                     for sp in spans.closed.values() {
-                        let sum: u64 = sp.segments.values().sum();
+                        let sum: u64 = sp.segments.iter().sum();
                         assert_eq!(
                             sum, sp.dur,
                             "txn {} ({}): segments sum {} != e2e {}",

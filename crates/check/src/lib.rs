@@ -36,10 +36,15 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::rc::Rc;
 
-use ssmp_engine::{Cycle, Kind, TraceEvent, TraceSink};
+use ssmp_engine::{Cycle, IdMap, Kind, TraceEvent, TraceSink};
 
 /// How many trailing trace events a violation carries.
 const RING_CAP: usize = 32;
+
+/// Wire-state bits: the wire departed onto the interconnect.
+const INJECTED: u8 = 1;
+/// Wire-state bits: the wire was processed at its destination.
+const DELIVERED: u8 = 2;
 
 /// How many violations are retained per run (the first ones; later
 /// violations of an already-broken run are usually cascade noise).
@@ -125,10 +130,8 @@ pub struct Checker {
     violations: Vec<ViolationReport>,
     /// Total violations detected, including ones dropped past the cap.
     detected: u64,
-    /// Wire ids that have departed onto the interconnect.
-    injected: HashSet<u64>,
-    /// Wire ids already processed at their destination.
-    delivered: HashSet<u64>,
+    /// Per wire id: its [`INJECTED`] and [`DELIVERED`] bits.
+    wires: IdMap<u8>,
     /// Per-node outstanding (pushed, unacked) write-buffer ids.
     wbuf: HashMap<i64, BTreeSet<u64>>,
     /// Per-lock FIFO of requesters in directory arrival order.
@@ -159,11 +162,19 @@ impl Checker {
         }
     }
 
+    /// Sets `bit` in wire `id`'s state; returns the state before.
+    fn mark(&mut self, id: u64, bit: u8) -> u8 {
+        let seen = self.wires.get_or_insert_with(id, || 0);
+        let before = *seen;
+        *seen |= bit;
+        before
+    }
+
     /// Folds one trace event into the oracle. Called by the [`CheckSink`]
     /// for every event the machine emits.
     pub fn fold(&mut self, ev: &TraceEvent) {
         match ev.kind {
-            Kind::NetInject if !self.injected.insert(ev.id) => {
+            Kind::NetInject if self.mark(ev.id, INJECTED) & INJECTED != 0 => {
                 self.violate(
                     "wire.exactly-once",
                     ev.cycle,
@@ -172,7 +183,8 @@ impl Checker {
                 );
             }
             Kind::NetDeliver => {
-                if !self.injected.contains(&ev.id) {
+                let seen = self.mark(ev.id, DELIVERED);
+                if seen & INJECTED == 0 {
                     self.violate(
                         "wire.exactly-once",
                         ev.cycle,
@@ -183,7 +195,7 @@ impl Checker {
                         ),
                     );
                 }
-                if !self.delivered.insert(ev.id) {
+                if seen & DELIVERED != 0 {
                     self.violate(
                         "wire.exactly-once",
                         ev.cycle,
@@ -462,6 +474,17 @@ mod tests {
         c.fold(&ev(Kind::NetDeliver, "m", 1, 7, 0));
         assert_eq!(c.violations().len(), 1);
         assert_eq!(c.violations()[0].invariant, "wire.exactly-once");
+    }
+
+    #[test]
+    fn doubled_inject_of_the_largest_id_is_flagged_once() {
+        let mut c = Checker::new();
+        c.fold(&ev(Kind::NetInject, "m", 0, u64::MAX, 1));
+        c.fold(&ev(Kind::NetInject, "m", 0, u64::MAX, 1));
+        c.fold(&ev(Kind::NetDeliver, "m", 1, u64::MAX, 0));
+        assert_eq!(c.detected(), 1, "{:?}", c.violations());
+        assert_eq!(c.violations()[0].invariant, "wire.exactly-once");
+        assert!(c.violations()[0].detail.contains("injected twice"));
     }
 
     #[test]

@@ -69,9 +69,10 @@ fault injection / robustness (run, sweep, trace replay, program):
 observability (run, trace replay, program; sweep takes --metrics-interval):
   [--trace <file>] [--trace-format jsonl|perfetto] [--trace-filter f1,f2,...]
   [--trace-ring N] [--metrics-interval N]
-  trace filter tokens: families wbi|ric|cbl|bar|sem|priv|node|net and/or
-  kinds issue|net-inject|net-deliver|retry|fault|stall-begin|stall-end|
-  lock-acquire|lock-release|flush|access|queue|done
+  trace filter tokens: families wbi|ric|cbl|bar|sem|priv|node|net|mesi|
+  dragon and/or kinds issue|net-inject|net-deliver|retry|fault|
+  stall-begin|stall-end|lock-acquire|lock-release|flush|access|queue|done|
+  span-begin|span-end|link
 
 profiling (run, sweep, trace replay, program):
   [--profile[=<out.json>]]  fold events live into the ssmp-profile-v1
@@ -1417,9 +1418,39 @@ fn trace_stats(f: &Flags) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ssmp_engine::{Family, Kind};
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn usage_lists_every_trace_filter_token() {
+        // The list runs from "trace filter tokens:" to the next blank line.
+        let lines: Vec<&str> = USAGE
+            .lines()
+            .skip_while(|l| !l.contains("trace filter tokens:"))
+            .take_while(|l| !l.trim().is_empty())
+            .collect();
+        let block = lines
+            .join(" ")
+            .split_whitespace()
+            .collect::<Vec<_>>()
+            .join(" ");
+        let (families, kinds) = block
+            .split_once("trace filter tokens: families")
+            .and_then(|(_, rest)| rest.split_once("and/or kinds"))
+            .expect("usage has a trace filter token list");
+        let tokens = |s: &str| -> Vec<String> {
+            s.split(|c: char| c == '|' || c.is_whitespace())
+                .filter(|t| !t.is_empty())
+                .map(str::to_string)
+                .collect()
+        };
+        let all_families: Vec<String> = Family::ALL.iter().map(|f| f.token().into()).collect();
+        let all_kinds: Vec<String> = Kind::ALL.iter().map(|k| k.token().into()).collect();
+        assert_eq!(tokens(families), all_families);
+        assert_eq!(tokens(kinds), all_kinds);
     }
 
     #[test]

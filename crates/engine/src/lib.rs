@@ -17,6 +17,9 @@
 //! * [`stats`] — cheap counters, accumulators and power-of-two histograms
 //!   used for the paper's metrics (completion time, message counts, lock
 //!   wait times, ...).
+//! * [`IdMap`] — a dense table keyed by the machine's 1-based wire and
+//!   transaction ids, bounded for ids read from a file; the observer folds
+//!   keep their per-id state in it.
 //!
 //! Time is measured in **cache cycles** ([`Cycle`]), matching the paper's
 //! Table 4 parameterisation (e.g. "main memory cycle time = 4 cache cycles").
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod idmap;
 pub mod json;
 pub mod rng;
 pub mod series;
@@ -48,6 +52,7 @@ pub mod watchdog;
 pub mod wheel;
 
 pub use event::{EventQueue, Scheduled};
+pub use idmap::IdMap;
 pub use json::{Json, JsonError};
 pub use rng::SimRng;
 pub use series::IntervalSeries;

@@ -215,10 +215,10 @@ pub struct Machine {
     /// Event tracer (off by default; see [`MachineBuilder::tracer`]).
     tracer: Tracer,
     /// Live profiler handle (`Some` when [`MachineBuilder::profile`] is
-    /// enabled); the folded profile is cloned into the report at finish.
+    /// enabled); the folded profile is moved into the report at finish.
     profile: Option<ssmp_profile::SharedProfile>,
     /// Live span-stitcher handle (`Some` when [`MachineBuilder::spans`]
-    /// is enabled); the folded span set is cloned into the report at
+    /// is enabled); the folded span set is moved into the report at
     /// finish. Span *emission* is keyed on the tracer alone, so any
     /// traced run stitches offline even without this sink.
     spans: Option<ssmp_span::SharedSpans>,
@@ -850,8 +850,16 @@ impl Machine {
                 }
             }
         }
-        let profile = self.profile.as_ref().map(|h| h.borrow().clone());
-        let spans = self.spans.as_ref().map(|h| h.borrow().clone());
+        // Move the folded observers out: no event follows, and copying
+        // them would duplicate every wire and span.
+        let profile = self
+            .profile
+            .as_ref()
+            .map(|h| std::mem::take(&mut *h.borrow_mut()));
+        let spans = self
+            .spans
+            .as_ref()
+            .map(|h| std::mem::take(&mut *h.borrow_mut()));
         let violations = match &self.check {
             Some(c) => {
                 let mut checker = c.borrow_mut();

@@ -34,12 +34,15 @@ fn paper_workloads(nodes: usize) -> Vec<(&'static str, Box<dyn Workload>, usize)
     let fft_locks = fft.machine_locks();
     let hot = Hotspot::new(HotspotParams::hot_locks(nodes, 0.6, 60));
     let hot_locks = hot.machine_locks();
+    let sor = Sor::new(SorParams::packed(nodes, 2));
+    let sor_locks = sor.machine_locks();
     vec![
         ("work-queue", Box::new(wq) as Box<dyn Workload>, wq_locks),
         ("sync", Box::new(sync), sync_locks),
         ("solver", Box::new(solver), solver_locks),
         ("fft", Box::new(fft), fft_locks),
         ("hotspot", Box::new(hot), hot_locks),
+        ("sor-packed", Box::new(sor), sor_locks),
     ]
 }
 
@@ -49,6 +52,8 @@ fn fit_geometry(cfg: &mut MachineConfig, name: &str, nodes: usize) {
             SolverParams::paper(nodes, ssmp::workload::Allocation::Packed, 3).shared_blocks()
         }
         "fft" => FftParams::paper(nodes).shared_blocks(),
+        // SOR owns one boundary block per node
+        "sor-packed" => nodes,
         _ => cfg.geometry.shared_blocks,
     };
     cfg.geometry =
@@ -92,6 +97,8 @@ fn live_sink_equals_offline_analyze_byte_for_byte() {
         MachineConfig::wbi(4),
         MachineConfig::cbl(4),
         MachineConfig::bc_cbl(4),
+        MachineConfig::mesi(4),
+        MachineConfig::dragon(4),
     ] {
         for (name, wl, locks) in paper_workloads(4) {
             let mut cfg = cfg.clone();

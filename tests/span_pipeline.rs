@@ -15,8 +15,8 @@ use ssmp::engine::{TraceFilter, Tracer};
 use ssmp::machine::{Machine, MachineConfig, Report, Workload};
 use ssmp::span::SpanSet;
 use ssmp::workload::{
-    FftParams, FftPhases, Grain, Hotspot, HotspotParams, LinearSolver, SolverParams, SorParams,
-    SyncModel, SyncParams, WorkQueue, WorkQueueParams,
+    FftParams, FftPhases, Grain, Hotspot, HotspotParams, LinearSolver, SolverParams, Sor,
+    SorParams, SyncModel, SyncParams, WorkQueue, WorkQueueParams,
 };
 
 fn paper_workloads(nodes: usize) -> Vec<(&'static str, Box<dyn Workload>, usize)> {
@@ -34,12 +34,15 @@ fn paper_workloads(nodes: usize) -> Vec<(&'static str, Box<dyn Workload>, usize)
     let fft_locks = fft.machine_locks();
     let hot = Hotspot::new(HotspotParams::hot_locks(nodes, 0.6, 60));
     let hot_locks = hot.machine_locks();
+    let sor = Sor::new(SorParams::packed(nodes, 2));
+    let sor_locks = sor.machine_locks();
     vec![
         ("work-queue", Box::new(wq) as Box<dyn Workload>, wq_locks),
         ("sync", Box::new(sync), sync_locks),
         ("solver", Box::new(solver), solver_locks),
         ("fft", Box::new(fft), fft_locks),
         ("hotspot", Box::new(hot), hot_locks),
+        ("sor-packed", Box::new(sor), sor_locks),
     ]
 }
 
@@ -49,6 +52,8 @@ fn fit_geometry(cfg: &mut MachineConfig, name: &str, nodes: usize) {
             SolverParams::paper(nodes, ssmp::workload::Allocation::Packed, 3).shared_blocks()
         }
         "fft" => FftParams::paper(nodes).shared_blocks(),
+        // SOR owns one boundary block per node
+        "sor-packed" => nodes,
         _ => cfg.geometry.shared_blocks,
     };
     cfg.geometry =
@@ -130,6 +135,8 @@ fn segments_sum_exactly_to_e2e_and_stitch_is_clean() {
         MachineConfig::wbi(4),
         MachineConfig::cbl(4),
         MachineConfig::bc_cbl(4),
+        MachineConfig::mesi(4),
+        MachineConfig::dragon(4),
     ] {
         for (name, wl, locks) in paper_workloads(4) {
             let mut cfg = cfg.clone();
@@ -139,7 +146,7 @@ fn segments_sum_exactly_to_e2e_and_stitch_is_clean() {
             let spans = r.spans.as_ref().unwrap();
             assert!(!spans.closed.is_empty(), "{name}: no spans stitched");
             for sp in spans.closed.values() {
-                let sum: u64 = sp.segments.values().sum();
+                let sum: u64 = sp.segments.iter().sum();
                 assert_eq!(
                     sum, sp.dur,
                     "{name} txn {} ({} @ node {}): segment sum {} != e2e {}",
@@ -165,6 +172,8 @@ fn live_sink_equals_offline_spans_byte_for_byte() {
         MachineConfig::wbi(4),
         MachineConfig::cbl(4),
         MachineConfig::bc_cbl(4),
+        MachineConfig::mesi(4),
+        MachineConfig::dragon(4),
     ] {
         for (name, wl, locks) in paper_workloads(4) {
             let mut cfg = cfg.clone();
