@@ -14,7 +14,9 @@
 //! stitcher and the sanitizer, so the report digest pins the `profile`
 //! and `spans` documents; one of them also carries the RIC fault plan,
 //! so the folds see duplicated and delayed copies (dropped at delivery)
-//! and retransmissions. A refactor that
+//! and retransmissions. The last rows run a semaphore producer–consumer
+//! (P, and V after a CP-Synch flush) and the tree-release hardware
+//! barrier, two controller paths no other row reaches. A refactor that
 //! claims "same behaviour" must leave the table untouched; regenerate it
 //! with `SSMP_BLESS=1` only for an intended behaviour change.
 
@@ -23,9 +25,10 @@ use std::fmt::Write as _;
 use std::io::Write;
 use std::rc::Rc;
 
-use ssmp::core::addr::Geometry;
+use ssmp::core::addr::{Geometry, SharedAddr};
 use ssmp::engine::{JsonlSink, TraceFilter, Tracer};
-use ssmp::machine::{Machine, MachineConfig, RetryPolicy, Workload};
+use ssmp::machine::op::Script;
+use ssmp::machine::{Machine, MachineConfig, Op, RetryPolicy, Workload};
 use ssmp::net::{FaultConfig, MsgKind};
 use ssmp::workload::{
     Allocation, FftParams, FftPhases, Grain, Hotspot, HotspotParams, LinearSolver, SolverParams,
@@ -93,6 +96,42 @@ fn config(name: &str) -> MachineConfig {
     }
 }
 
+/// Initial credits of the producer–consumer's `empty` and `full`
+/// semaphores.
+const SEM_CREDITS: [u64; 2] = [2, 0];
+
+/// P/V producer–consumer over [`SEM_CREDITS`]: the first half of the nodes
+/// store an item and V `full` (CP-Synch, so a buffered store drains
+/// first); the second half P `full`, read the item and V `empty`.
+fn producer_consumer(n: usize) -> Script {
+    let (empty, full) = (0, 1);
+    let streams = (0..n)
+        .map(|node| {
+            let item = |k: usize| SharedAddr::new(node % (n / 2), k as u8);
+            (0..3)
+                .flat_map(|k| {
+                    if node < n / 2 {
+                        [
+                            Op::Compute(10),
+                            Op::SemP(empty),
+                            Op::SharedWrite(item(k)),
+                            Op::SemV(full),
+                        ]
+                    } else {
+                        [
+                            Op::SemP(full),
+                            Op::SharedRead(item(k)),
+                            Op::SemV(empty),
+                            Op::Compute(5),
+                        ]
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Script::new(streams)
+}
+
 /// Builds the workload (quick sizes) and sizes the shared region for it,
 /// as `ssmp run` does. Returns the workload and its lock count.
 fn workload(name: &str, cfg: &mut MachineConfig) -> (Box<dyn Workload>, usize) {
@@ -147,6 +186,7 @@ fn workload(name: &str, cfg: &mut MachineConfig) -> (Box<dyn Workload>, usize) {
             let locks = wl.machine_locks();
             (Box::new(wl), locks)
         }
+        "sem-pc" => (Box::new(producer_consumer(n)), 1),
         other => panic!("unknown workload {other}"),
     }
 }
@@ -160,6 +200,8 @@ enum Extra {
     ReadsChecked,
     /// The profiler, the span stitcher and the sanitizer.
     Observed,
+    /// The hardware barrier releases as a binary tree.
+    TreeBarrier,
 }
 
 /// Runs one case traced, with each of `extras` armed; returns `label
@@ -186,15 +228,25 @@ fn digest_line(wl_name: &str, cfg_name: &str, extras: &[Extra]) -> String {
                 observed = true;
                 label.push_str("+observed");
             }
+            Extra::TreeBarrier => {
+                cfg.hw_tree_barrier = true;
+                label.push_str("+tree-barrier");
+            }
         }
     }
     let (wl, locks) = workload(wl_name, &mut cfg);
+    let sems: &[u64] = if wl_name == "sem-pc" {
+        &SEM_CREDITS
+    } else {
+        &[]
+    };
     let buf = SharedBuf::default();
     let mut tracer = Tracer::new(TraceFilter::all());
     tracer.add_sink(JsonlSink::new(buf.clone()));
     let report = Machine::builder(cfg)
         .workload(wl)
         .locks(locks)
+        .semaphores(sems)
         .tracer(tracer)
         .profile(observed)
         .spans(observed)
@@ -246,6 +298,9 @@ fn cases() -> Vec<Case> {
         "bc-cbl",
         &[Extra::Faults(MsgKind::Ric), Extra::Observed],
     ));
+    out.push(("sem-pc", "sc-cbl", &[]));
+    out.push(("sem-pc", "bc-cbl", &[]));
+    out.push(("sor", "cbl", &[Extra::TreeBarrier]));
     out
 }
 
