@@ -27,8 +27,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+use ssmp_core::msg::{Endpoint, Msg};
 
 use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
 
@@ -117,35 +117,23 @@ struct Pending {
 /// One shared block under the Dragon write-update protocol.
 #[derive(Debug)]
 pub struct DragonBlock {
-    block_words: u8,
+    block_words: u32,
     mem: BlockData,
     lines: BTreeMap<NodeId, NodeLine>,
     busy: Option<Pending>,
     queue: VecDeque<(NodeId, Txn)>,
 }
 
-fn dragon(k: DragonKind) -> CohKind {
-    CohKind::Dragon(k)
-}
-
 impl DragonBlock {
     /// A block of `block_words` words.
     pub fn new(block_words: u8) -> Self {
         Self {
-            block_words,
+            block_words: block_words.into(),
             mem: BlockData::new(block_words),
             lines: BTreeMap::new(),
             busy: None,
             queue: VecDeque::new(),
         }
-    }
-
-    fn ctl(&self, src: Endpoint, dst: Endpoint, k: DragonKind) -> CohMsg {
-        CohMsg::ctl(src, dst, dragon(k))
-    }
-
-    fn blk(&self, src: Endpoint, dst: Endpoint, k: DragonKind) -> CohMsg {
-        CohMsg::blk(src, dst, self.block_words, dragon(k))
     }
 
     fn excl_owner(&self) -> Option<NodeId> {
@@ -185,7 +173,11 @@ impl DragonBlock {
                     requester: node,
                     acks_left: 1,
                 });
-                msgs.push(self.ctl(Endpoint::Dir, Endpoint::Node(o), DragonKind::Fetch));
+                msgs.push(Msg::ctl(
+                    Endpoint::Dir,
+                    Endpoint::Node(o),
+                    DragonKind::Fetch,
+                ));
                 return;
             }
         }
@@ -203,7 +195,12 @@ impl DragonBlock {
     fn serve_read_now(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
         if self.lines.contains_key(&node) {
             // defensive: a node re-reading a block it still holds
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), DragonKind::FillShared));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                DragonKind::FillShared,
+            ));
             return;
         }
         if self.lines.is_empty() {
@@ -214,7 +211,12 @@ impl DragonBlock {
                     data: self.mem.clone(),
                 },
             );
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), DragonKind::FillExcl));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                DragonKind::FillExcl,
+            ));
         } else {
             self.lines.insert(
                 node,
@@ -223,7 +225,12 @@ impl DragonBlock {
                     data: self.mem.clone(),
                 },
             );
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), DragonKind::FillShared));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                DragonKind::FillShared,
+            ));
         }
     }
 
@@ -270,9 +277,9 @@ impl DragonBlock {
                 sole: true,
             };
             msgs.push(if filling {
-                self.blk(Endpoint::Dir, Endpoint::Node(node), done)
+                Msg::data(Endpoint::Dir, Endpoint::Node(node), self.block_words, done)
             } else {
-                self.ctl(Endpoint::Dir, Endpoint::Node(node), done)
+                Msg::ctl(Endpoint::Dir, Endpoint::Node(node), done)
             });
         } else {
             for o in &others {
@@ -281,7 +288,7 @@ impl DragonBlock {
                         line.state = DragonState::Sc;
                     }
                 }
-                msgs.push(self.ctl(
+                msgs.push(Msg::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(*o),
                     DragonKind::UpdPush { word, value },
@@ -333,7 +340,11 @@ impl CoherenceProtocol for DragonBlock {
     }
 
     fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, DragonKind::Rd)]
+        vec![Msg::ctl(
+            Endpoint::Node(node),
+            Endpoint::Dir,
+            DragonKind::Rd,
+        )]
     }
 
     fn write_req(&mut self, node: NodeId, word: u8, value: u64) -> Vec<CohMsg> {
@@ -342,7 +353,7 @@ impl CoherenceProtocol for DragonBlock {
         } else {
             DragonKind::UpdFill { word, value }
         };
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
     }
 
     fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
@@ -366,9 +377,18 @@ impl CoherenceProtocol for DragonBlock {
                     self.mem = line.data.clone();
                     line.state = DragonState::Sc;
                     effects.push(CohEffect::Downgraded { node: n });
-                    msgs.push(self.blk(Endpoint::Node(n), Endpoint::Dir, DragonKind::OwnerData));
+                    msgs.push(Msg::data(
+                        Endpoint::Node(n),
+                        Endpoint::Dir,
+                        self.block_words,
+                        DragonKind::OwnerData,
+                    ));
                 } else {
-                    msgs.push(self.ctl(Endpoint::Node(n), Endpoint::Dir, DragonKind::FetchMiss));
+                    msgs.push(Msg::ctl(
+                        Endpoint::Node(n),
+                        Endpoint::Dir,
+                        DragonKind::FetchMiss,
+                    ));
                 }
             }
             (DragonKind::OwnerData | DragonKind::FetchMiss, _, Endpoint::Dir) => {
@@ -382,7 +402,11 @@ impl CoherenceProtocol for DragonBlock {
                     line.data.set(word, value);
                     effects.push(CohEffect::UpdateApplied { node: n, word });
                 }
-                msgs.push(self.ctl(Endpoint::Node(n), Endpoint::Dir, DragonKind::UpdAck));
+                msgs.push(Msg::ctl(
+                    Endpoint::Node(n),
+                    Endpoint::Dir,
+                    DragonKind::UpdAck,
+                ));
             }
             (DragonKind::UpdAck, _, Endpoint::Dir) => {
                 let done = {
@@ -403,9 +427,14 @@ impl CoherenceProtocol for DragonBlock {
                         sole: false,
                     };
                     msgs.push(if filling {
-                        self.blk(Endpoint::Dir, Endpoint::Node(p.requester), done)
+                        Msg::data(
+                            Endpoint::Dir,
+                            Endpoint::Node(p.requester),
+                            self.block_words,
+                            done,
+                        )
                     } else {
-                        self.ctl(Endpoint::Dir, Endpoint::Node(p.requester), done)
+                        Msg::ctl(Endpoint::Dir, Endpoint::Node(p.requester), done)
                     });
                     self.pump_queue(&mut msgs, &mut effects);
                 }

@@ -19,9 +19,10 @@
 //!
 //! All three share the machine's message/timing model: a centralized
 //! per-block controller holds memory copy, directory/line state, and the
-//! blocking-transaction queue; [`CohMsg`]s are timing tokens (source,
-//! destination, payload size, kind) whose data travels implicitly through
-//! the controller. The RIC scheme stays outside the trait — its update
+//! blocking-transaction queue; [`CohMsg`]s — the shared
+//! [`ssmp_core::msg::Msg`] envelope around a [`CohKind`] — are timing
+//! tokens (source, destination, payload size, kind) whose data travels
+//! implicitly through the controller. The RIC scheme stays outside the trait — its update
 //! lists live in the node caches and the write buffer, a different shape
 //! entirely (and the paper's proposal, not a baseline).
 
@@ -36,8 +37,8 @@ pub use mesi::{MesiBlock, MesiKind};
 pub use wbi::{WbiBlock, WbiKind};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+use ssmp_core::msg::Msg;
 
 /// Protocol content of a coherence message, tagged by backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,42 +51,29 @@ pub enum CohKind {
     Dragon(DragonKind),
 }
 
+impl From<WbiKind> for CohKind {
+    fn from(k: WbiKind) -> Self {
+        Self::Wbi(k)
+    }
+}
+
+impl From<MesiKind> for CohKind {
+    fn from(k: MesiKind) -> Self {
+        Self::Mesi(k)
+    }
+}
+
+impl From<DragonKind> for CohKind {
+    fn from(k: DragonKind) -> Self {
+        Self::Dragon(k)
+    }
+}
+
 /// A coherence protocol message: pure timing token (block data travels
 /// implicitly through the centralized controller; `words` only sets the
-/// wire cost).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CohMsg {
-    /// Sender.
-    pub src: Endpoint,
-    /// Receiver.
-    pub dst: Endpoint,
-    /// Payload words.
-    pub words: u32,
-    /// Protocol content.
-    pub kind: CohKind,
-}
-
-impl CohMsg {
-    /// A one-word control message.
-    pub fn ctl(src: Endpoint, dst: Endpoint, kind: CohKind) -> Self {
-        Self {
-            src,
-            dst,
-            words: 1,
-            kind,
-        }
-    }
-
-    /// A block-sized data message.
-    pub fn blk(src: Endpoint, dst: Endpoint, words: u8, kind: CohKind) -> Self {
-        Self {
-            src,
-            dst,
-            words: words as u32,
-            kind,
-        }
-    }
-}
+/// wire cost). A backend builds it from its own kind, which converts into
+/// [`CohKind`].
+pub type CohMsg = Msg<CohKind>;
 
 /// Externally visible protocol effects, consumed by the machine. The
 /// first five are the invalidate-protocol lifecycle; the last three exist

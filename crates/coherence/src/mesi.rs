@@ -24,8 +24,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+use ssmp_core::msg::{Endpoint, Msg};
 
 use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
 
@@ -94,7 +94,7 @@ struct Pending {
 #[derive(Debug)]
 pub struct MesiBlock {
     nodes: usize,
-    block_words: u8,
+    block_words: u32,
     mem: BlockData,
     /// Conservative exclusive-owner tracking: set on every E/M grant.
     /// E holders may silently upgrade to M, so home must recall from
@@ -105,30 +105,18 @@ pub struct MesiBlock {
     queue: VecDeque<(NodeId, Txn)>,
 }
 
-fn mesi(k: MesiKind) -> CohKind {
-    CohKind::Mesi(k)
-}
-
 impl MesiBlock {
     /// A block of `block_words` words snooped by `nodes` caches.
     pub fn new(block_words: u8, nodes: usize) -> Self {
         Self {
             nodes,
-            block_words,
+            block_words: block_words.into(),
             mem: BlockData::new(block_words),
             owner: None,
             lines: BTreeMap::new(),
             busy: None,
             queue: VecDeque::new(),
         }
-    }
-
-    fn ctl(&self, src: Endpoint, dst: Endpoint, k: MesiKind) -> CohMsg {
-        CohMsg::ctl(src, dst, mesi(k))
-    }
-
-    fn blk(&self, src: Endpoint, dst: Endpoint, k: MesiKind) -> CohMsg {
-        CohMsg::blk(src, dst, self.block_words, mesi(k))
     }
 
     fn begin_or_queue(&mut self, node: NodeId, txn: Txn, msgs: &mut Vec<CohMsg>) {
@@ -148,7 +136,7 @@ impl MesiBlock {
                         requester: node,
                         acks_left: 1,
                     });
-                    msgs.push(self.ctl(
+                    msgs.push(Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(o),
                         MesiKind::Fetch { shared: true },
@@ -163,7 +151,7 @@ impl MesiBlock {
                         requester: node,
                         acks_left: 1,
                     });
-                    msgs.push(self.ctl(
+                    msgs.push(Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(o),
                         MesiKind::Fetch { shared: false },
@@ -179,7 +167,7 @@ impl MesiBlock {
                     });
                     for o in 0..self.nodes {
                         if o != node {
-                            msgs.push(self.ctl(Endpoint::Dir, Endpoint::Node(o), MesiKind::Inv));
+                            msgs.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(o), MesiKind::Inv));
                         }
                     }
                 }
@@ -191,7 +179,12 @@ impl MesiBlock {
     fn serve_read_now(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
         if self.owner == Some(node) || self.lines.contains_key(&node) {
             // defensive: a node re-reading a block it still holds
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), MesiKind::DataShared));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                MesiKind::DataShared,
+            ));
             return;
         }
         if self.lines.is_empty() {
@@ -203,7 +196,12 @@ impl MesiBlock {
                 },
             );
             self.owner = Some(node);
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), MesiKind::DataExclClean));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                MesiKind::DataExclClean,
+            ));
         } else {
             self.lines.insert(
                 node,
@@ -212,7 +210,12 @@ impl MesiBlock {
                     data: self.mem.clone(),
                 },
             );
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), MesiKind::DataShared));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                MesiKind::DataShared,
+            ));
         }
     }
 
@@ -222,7 +225,11 @@ impl MesiBlock {
         if let Some(line) = self.lines.get_mut(&node) {
             line.state = LineState::Modified;
             self.owner = Some(node);
-            msgs.push(self.ctl(Endpoint::Dir, Endpoint::Node(node), MesiKind::UpgradeAck));
+            msgs.push(Msg::ctl(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                MesiKind::UpgradeAck,
+            ));
         } else {
             self.lines.insert(
                 node,
@@ -232,7 +239,12 @@ impl MesiBlock {
                 },
             );
             self.owner = Some(node);
-            msgs.push(self.blk(Endpoint::Dir, Endpoint::Node(node), MesiKind::DataExcl));
+            msgs.push(Msg::data(
+                Endpoint::Dir,
+                Endpoint::Node(node),
+                self.block_words,
+                MesiKind::DataExcl,
+            ));
         }
     }
 
@@ -275,7 +287,11 @@ impl CoherenceProtocol for MesiBlock {
     }
 
     fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, MesiKind::BusRd)]
+        vec![Msg::ctl(
+            Endpoint::Node(node),
+            Endpoint::Dir,
+            MesiKind::BusRd,
+        )]
     }
 
     fn write_req(&mut self, node: NodeId, _word: u8, _value: u64) -> Vec<CohMsg> {
@@ -284,7 +300,7 @@ impl CoherenceProtocol for MesiBlock {
         } else {
             MesiKind::BusRdx
         };
-        vec![self.ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
     }
 
     fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
@@ -304,7 +320,7 @@ impl CoherenceProtocol for MesiBlock {
                 if self.lines.remove(&n).is_some() {
                     effects.push(CohEffect::Invalidated { node: n });
                 }
-                msgs.push(self.ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::InvAck));
+                msgs.push(Msg::ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::InvAck));
             }
             (MesiKind::InvAck, _, Endpoint::Dir) => {
                 let done = {
@@ -333,13 +349,18 @@ impl CoherenceProtocol for MesiBlock {
                     } else {
                         effects.push(CohEffect::Invalidated { node: n });
                     }
-                    msgs.push(self.blk(
+                    msgs.push(Msg::data(
                         Endpoint::Node(n),
                         Endpoint::Dir,
+                        self.block_words,
                         MesiKind::OwnerData { downgrade: shared },
                     ));
                 } else {
-                    msgs.push(self.ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::FetchMiss));
+                    msgs.push(Msg::ctl(
+                        Endpoint::Node(n),
+                        Endpoint::Dir,
+                        MesiKind::FetchMiss,
+                    ));
                 }
             }
             (MesiKind::OwnerData { .. } | MesiKind::FetchMiss, _, Endpoint::Dir) => {

@@ -17,8 +17,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::cbl::Endpoint;
 use ssmp_core::line::BlockData;
+use ssmp_core::msg::{Endpoint, Msg};
 
 use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
 
@@ -111,7 +111,7 @@ struct Pending {
 /// state, per-node lines, and the blocking-transaction queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WbiBlock {
-    block_words: u8,
+    block_words: u32,
     mem: BlockData,
     dir: DirState,
     lines: BTreeMap<NodeId, NodeLine>,
@@ -133,7 +133,7 @@ impl WbiBlock {
     /// Creates a controller for a block of `block_words` words.
     pub fn new(block_words: u8) -> Self {
         Self {
-            block_words,
+            block_words: block_words.into(),
             mem: BlockData::new(block_words),
             dir: DirState::Uncached,
             lines: BTreeMap::new(),
@@ -163,14 +163,6 @@ impl WbiBlock {
         b
     }
 
-    fn ctl(src: Endpoint, dst: Endpoint, kind: WbiKind) -> CohMsg {
-        CohMsg::ctl(src, dst, CohKind::Wbi(kind))
-    }
-
-    fn blk(&self, src: Endpoint, dst: Endpoint, kind: WbiKind) -> CohMsg {
-        CohMsg::blk(src, dst, self.block_words, CohKind::Wbi(kind))
-    }
-
     /// The authoritative memory copy (may be stale while a line is
     /// Modified, as in real hardware).
     pub fn mem(&self) -> &BlockData {
@@ -195,7 +187,12 @@ impl WbiBlock {
         match self.lines.remove(&node) {
             Some(l) if l.state == LineState::Modified => {
                 self.mem = l.data;
-                vec![self.blk(Endpoint::Node(node), Endpoint::Dir, WbiKind::WriteBack)]
+                vec![Msg::data(
+                    Endpoint::Node(node),
+                    Endpoint::Dir,
+                    self.block_words,
+                    WbiKind::WriteBack,
+                )]
             }
             Some(_) => {
                 // Silent replacement of a shared line. The directory may
@@ -231,9 +228,10 @@ impl WbiBlock {
                             s.retain(|n| self.lines.contains_key(n));
                             s.insert(p.requester);
                             self.dir = DirState::Shared(s);
-                            vec![self.blk(
+                            vec![Msg::data(
                                 Endpoint::Dir,
                                 Endpoint::Node(p.requester),
+                                self.block_words,
                                 WbiKind::DataShared,
                             )]
                         }
@@ -261,9 +259,10 @@ impl WbiBlock {
                         s.insert(src);
                         s.insert(p.requester);
                         self.dir = DirState::Shared(s);
-                        msgs.push(self.blk(
+                        msgs.push(Msg::data(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
+                            self.block_words,
                             WbiKind::DataShared,
                         ));
                     }
@@ -271,9 +270,10 @@ impl WbiBlock {
                     Txn::Write { .. } => {
                         debug_assert!(!downgrade);
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(self.blk(
+                        msgs.push(Msg::data(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
+                            self.block_words,
                             WbiKind::DataExcl { upgrade: false },
                         ));
                     }
@@ -290,17 +290,19 @@ impl WbiBlock {
                     Txn::ReadEvict => unreachable!("evictions never fetch"),
                     Txn::Read => {
                         self.dir = DirState::Shared(BTreeSet::from([p.requester]));
-                        msgs.push(self.blk(
+                        msgs.push(Msg::data(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
+                            self.block_words,
                             WbiKind::DataShared,
                         ));
                     }
                     Txn::Write { .. } => {
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(self.blk(
+                        msgs.push(Msg::data(
                             Endpoint::Dir,
                             Endpoint::Node(p.requester),
+                            self.block_words,
                             WbiKind::DataExcl { upgrade: false },
                         ));
                     }
@@ -339,10 +341,20 @@ impl WbiBlock {
                         // conservatively records an owner (it cannot see
                         // the silent E -> M upgrade).
                         self.dir = DirState::Modified(node);
-                        vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataExclClean)]
+                        vec![Msg::data(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            self.block_words,
+                            WbiKind::DataExclClean,
+                        )]
                     } else {
                         self.dir = DirState::Shared(BTreeSet::from([node]));
-                        vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
+                        vec![Msg::data(
+                            Endpoint::Dir,
+                            Endpoint::Node(node),
+                            self.block_words,
+                            WbiKind::DataShared,
+                        )]
                     }
                 }
                 DirState::Shared(mut s) => {
@@ -357,7 +369,7 @@ impl WbiBlock {
                                 requester: node,
                                 acks_left: 1,
                             });
-                            return vec![Self::ctl(
+                            return vec![Msg::ctl(
                                 Endpoint::Dir,
                                 Endpoint::Node(victim),
                                 WbiKind::Inv,
@@ -366,7 +378,12 @@ impl WbiBlock {
                     }
                     s.insert(node);
                     self.dir = DirState::Shared(s);
-                    vec![self.blk(Endpoint::Dir, Endpoint::Node(node), WbiKind::DataShared)]
+                    vec![Msg::data(
+                        Endpoint::Dir,
+                        Endpoint::Node(node),
+                        self.block_words,
+                        WbiKind::DataShared,
+                    )]
                 }
                 DirState::Modified(owner) => {
                     self.busy = Some(Pending {
@@ -374,7 +391,7 @@ impl WbiBlock {
                         requester: node,
                         acks_left: 0,
                     });
-                    vec![Self::ctl(
+                    vec![Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(owner),
                         WbiKind::FetchShared,
@@ -384,9 +401,10 @@ impl WbiBlock {
             Txn::Write { had_copy } => match self.dir.clone() {
                 DirState::Uncached => {
                     self.dir = DirState::Modified(node);
-                    vec![self.blk(
+                    vec![Msg::data(
                         Endpoint::Dir,
                         Endpoint::Node(node),
+                        self.block_words,
                         WbiKind::DataExcl { upgrade: false },
                     )]
                 }
@@ -405,7 +423,7 @@ impl WbiBlock {
                         });
                         others
                             .into_iter()
-                            .map(|o| Self::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv))
+                            .map(|o| Msg::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv))
                             .collect()
                     }
                 }
@@ -416,7 +434,7 @@ impl WbiBlock {
                         requester: node,
                         acks_left: 0,
                     });
-                    vec![Self::ctl(
+                    vec![Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(owner),
                         WbiKind::FetchExcl,
@@ -429,15 +447,16 @@ impl WbiBlock {
     fn grant_excl(&mut self, node: NodeId, upgrade: bool) -> CohMsg {
         self.dir = DirState::Modified(node);
         if upgrade {
-            Self::ctl(
+            Msg::ctl(
                 Endpoint::Dir,
                 Endpoint::Node(node),
                 WbiKind::DataExcl { upgrade: true },
             )
         } else {
-            self.blk(
+            Msg::data(
                 Endpoint::Dir,
                 Endpoint::Node(node),
+                self.block_words,
                 WbiKind::DataExcl { upgrade: false },
             )
         }
@@ -529,7 +548,7 @@ impl WbiBlock {
                     vec![] // spurious Inv after silent replacement
                 };
                 (
-                    vec![Self::ctl(
+                    vec![Msg::ctl(
                         Endpoint::Node(node),
                         Endpoint::Dir,
                         WbiKind::InvAck,
@@ -542,16 +561,17 @@ impl WbiBlock {
                     l.state = LineState::Shared;
                     self.mem = l.data.clone();
                     (
-                        vec![self.blk(
+                        vec![Msg::data(
                             Endpoint::Node(node),
                             Endpoint::Dir,
+                            self.block_words,
                             WbiKind::OwnerData { downgrade: true },
                         )],
                         vec![CohEffect::Downgraded { node }],
                     )
                 }
                 None => (
-                    vec![Self::ctl(
+                    vec![Msg::ctl(
                         Endpoint::Node(node),
                         Endpoint::Dir,
                         WbiKind::WbRace,
@@ -563,16 +583,17 @@ impl WbiBlock {
                 Some(l) => {
                     self.mem = l.data;
                     (
-                        vec![self.blk(
+                        vec![Msg::data(
                             Endpoint::Node(node),
                             Endpoint::Dir,
+                            self.block_words,
                             WbiKind::OwnerData { downgrade: false },
                         )],
                         vec![CohEffect::Invalidated { node }],
                     )
                 }
                 None => (
-                    vec![Self::ctl(
+                    vec![Msg::ctl(
                         Endpoint::Node(node),
                         Endpoint::Dir,
                         WbiKind::WbRace,
@@ -608,7 +629,7 @@ impl CoherenceProtocol for WbiBlock {
             !self.lines.contains_key(&node),
             "read request with a valid line"
         );
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             WbiKind::ReadReq,
@@ -620,7 +641,7 @@ impl CoherenceProtocol for WbiBlock {
             self.line_state(node) != Some(LineState::Modified),
             "write request while already owner"
         );
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             WbiKind::WriteReq,

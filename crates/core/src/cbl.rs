@@ -41,16 +41,8 @@ use std::collections::BTreeMap;
 
 use crate::addr::NodeId;
 use crate::line::LockField;
+use crate::msg::{Endpoint, Msg};
 use crate::primitive::LockMode;
-
-/// A message endpoint: a node's cache, or the block's home directory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Endpoint {
-    /// A node (cache controller).
-    Node(NodeId),
-    /// The home directory / memory module of the block.
-    Dir,
-}
 
 /// Where the data accompanying a lock grant comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,19 +95,9 @@ pub enum CblKind {
     SplicePrev,
 }
 
-/// A CBL protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CblMsg {
-    /// Sender.
-    pub src: Endpoint,
-    /// Receiver.
-    pub dst: Endpoint,
-    /// Payload size in words (1 for control; block size when data rides
-    /// along with a grant or release).
-    pub words: u32,
-    /// Protocol content.
-    pub kind: CblKind,
-}
+/// A CBL protocol message (block data rides along with grants and
+/// releases).
+pub type CblMsg = Msg<CblKind>;
 
 /// Externally visible protocol effects, consumed by the machine simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -215,24 +197,6 @@ impl LockQueue {
         }
     }
 
-    fn ctl(src: Endpoint, dst: Endpoint, kind: CblKind) -> CblMsg {
-        CblMsg {
-            src,
-            dst,
-            words: 1,
-            kind,
-        }
-    }
-
-    fn data(&self, src: Endpoint, dst: Endpoint, kind: CblKind) -> CblMsg {
-        CblMsg {
-            src,
-            dst,
-            words: self.block_words,
-            kind,
-        }
-    }
-
     /// True if `node` currently holds the lock (in any mode).
     pub fn holds(&self, node: NodeId) -> bool {
         matches!(
@@ -282,7 +246,7 @@ impl LockQueue {
             "node {node} issued a lock request while already active on this block"
         );
         self.nodes.insert(node, NodeLock::waiting(mode));
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             CblKind::Request(mode),
@@ -326,7 +290,12 @@ impl LockQueue {
                         qs.prev = None;
                     }
                     self.nodes.remove(&node);
-                    msgs.push(self.data(me, Endpoint::Node(q), CblKind::GrantChain));
+                    msgs.push(Msg::data(
+                        me,
+                        Endpoint::Node(q),
+                        self.block_words,
+                        CblKind::GrantChain,
+                    ));
                     effects.push(CblEffect::ReleaseForwarded { from: node, to: q });
                 } else {
                     // Splice self out of the holder chain ("similar to
@@ -336,12 +305,12 @@ impl LockQueue {
                         xs.next = Some(q);
                         xs.next_mode = st.next_mode;
                         xs.next_granted = q_is_holder;
-                        msgs.push(Self::ctl(me, Endpoint::Node(x), CblKind::SpliceNext));
+                        msgs.push(Msg::ctl(me, Endpoint::Node(x), CblKind::SpliceNext));
                     }
                     if let Some(qs) = self.nodes.get_mut(&q) {
                         qs.prev = st.prev;
                     }
-                    msgs.push(Self::ctl(me, Endpoint::Node(q), CblKind::SplicePrev));
+                    msgs.push(Msg::ctl(me, Endpoint::Node(q), CblKind::SplicePrev));
                     self.nodes.remove(&node);
                     effects.push(CblEffect::ReleaseComplete { node });
                 }
@@ -356,12 +325,17 @@ impl LockQueue {
                     xs.next = None;
                     xs.next_mode = None;
                     xs.next_granted = false;
-                    msgs.push(Self::ctl(me, Endpoint::Node(x), CblKind::SpliceNext));
+                    msgs.push(Msg::ctl(me, Endpoint::Node(x), CblKind::SpliceNext));
                 }
                 let entry = self.nodes.get_mut(&node).expect("checked above");
                 entry.state = LockField::ReleasePending;
                 entry.prev = None;
-                msgs.push(self.data(me, Endpoint::Dir, CblKind::Release { new_tail }));
+                msgs.push(Msg::data(
+                    me,
+                    Endpoint::Dir,
+                    self.block_words,
+                    CblKind::Release { new_tail },
+                ));
             }
         }
         (msgs, effects)
@@ -385,14 +359,19 @@ impl LockQueue {
                 None => {
                     self.tail = Some(src);
                     (
-                        vec![self.data(Endpoint::Dir, Endpoint::Node(src), CblKind::GrantMem)],
+                        vec![Msg::data(
+                            Endpoint::Dir,
+                            Endpoint::Node(src),
+                            self.block_words,
+                            CblKind::GrantMem,
+                        )],
                         vec![],
                     )
                 }
                 Some(t) => {
                     self.tail = Some(src);
                     (
-                        vec![Self::ctl(
+                        vec![Msg::ctl(
                             Endpoint::Dir,
                             Endpoint::Node(t),
                             CblKind::Forward {
@@ -411,7 +390,7 @@ impl LockQueue {
                     // released before we did, but its Release reached the
                     // directory first): cascade-retire those too.
                     self.tail = new_tail;
-                    let mut out = vec![Self::ctl(
+                    let mut out = vec![Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(src),
                         CblKind::ReleaseAck,
@@ -429,7 +408,7 @@ impl LockQueue {
                 let Some(new_tail) = self.release_pending.remove(&src) else {
                     panic!("bounce from {src} with no pending release");
                 };
-                let mut out = vec![Self::ctl(
+                let mut out = vec![Msg::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(src),
                     CblKind::ReleaseAck,
@@ -437,16 +416,17 @@ impl LockQueue {
                 match new_tail {
                     // The releaser had predecessors: the bounced requester
                     // re-attaches behind the proposed new tail.
-                    Some(x) => out.push(Self::ctl(
+                    Some(x) => out.push(Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(x),
                         CblKind::Forward { requester, mode },
                     )),
                     // Queue drained: grant the bounced requester from
                     // memory (the release wrote the data back).
-                    None => out.push(self.data(
+                    None => out.push(Msg::data(
                         Endpoint::Dir,
                         Endpoint::Node(requester),
+                        self.block_words,
                         CblKind::GrantMem,
                     )),
                 }
@@ -467,7 +447,7 @@ impl LockQueue {
             match self.release_pending.remove(&t) {
                 Some(next_tail) => {
                     self.tail = next_tail;
-                    out.push(Self::ctl(
+                    out.push(Msg::ctl(
                         Endpoint::Dir,
                         Endpoint::Node(t),
                         CblKind::ReleaseAck,
@@ -498,16 +478,17 @@ impl LockQueue {
                         if share {
                             // Read–read: share immediately; data rides along.
                             (
-                                vec![self.data(
+                                vec![Msg::data(
                                     Endpoint::Node(node),
                                     Endpoint::Node(requester),
+                                    self.block_words,
                                     CblKind::GrantChain,
                                 )],
                                 vec![],
                             )
                         } else {
                             (
-                                vec![Self::ctl(
+                                vec![Msg::ctl(
                                     Endpoint::Node(node),
                                     Endpoint::Node(requester),
                                     CblKind::Enqueued,
@@ -527,7 +508,7 @@ impl LockQueue {
                             rq.prev = Some(node);
                         }
                         (
-                            vec![Self::ctl(
+                            vec![Msg::ctl(
                                 Endpoint::Node(node),
                                 Endpoint::Node(requester),
                                 CblKind::Enqueued,
@@ -539,7 +520,7 @@ impl LockQueue {
                         // We released before the forward arrived: bounce it
                         // back to the directory.
                         (
-                            vec![Self::ctl(
+                            vec![Msg::ctl(
                                 Endpoint::Node(node),
                                 Endpoint::Dir,
                                 CblKind::Bounce { requester, mode },
@@ -605,9 +586,10 @@ impl LockQueue {
                         .get_mut(&node)
                         .expect("just updated")
                         .next_granted = true;
-                    msgs.push(self.data(
+                    msgs.push(Msg::data(
                         Endpoint::Node(node),
                         Endpoint::Node(q),
+                        self.block_words,
                         CblKind::GrantChain,
                     ));
                 }

@@ -32,8 +32,8 @@
 use std::collections::BTreeMap;
 
 use crate::addr::NodeId;
-use crate::cbl::Endpoint;
 use crate::line::BlockData;
+use crate::msg::{Endpoint, Msg};
 
 /// RIC protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,18 +75,9 @@ pub enum RicKind {
     Splice,
 }
 
-/// A RIC protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RicMsg {
-    /// Sender.
-    pub src: Endpoint,
-    /// Receiver.
-    pub dst: Endpoint,
-    /// Payload words (1 control / block size for data).
-    pub words: u32,
-    /// Protocol content.
-    pub kind: RicKind,
-}
+/// A RIC protocol message (block data rides along with read replies and
+/// update pushes).
+pub type RicMsg = Msg<RicKind>;
 
 /// Externally visible effects, consumed by the machine simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -182,24 +173,6 @@ impl UpdateList {
         }
     }
 
-    fn ctl(src: Endpoint, dst: Endpoint, kind: RicKind) -> RicMsg {
-        RicMsg {
-            src,
-            dst,
-            words: 1,
-            kind,
-        }
-    }
-
-    fn data_msg(&self, src: Endpoint, dst: Endpoint, kind: RicKind) -> RicMsg {
-        RicMsg {
-            src,
-            dst,
-            words: self.block_words,
-            kind,
-        }
-    }
-
     /// The authoritative memory copy.
     pub fn mem(&self) -> &BlockData {
         &self.mem
@@ -292,7 +265,7 @@ impl UpdateList {
             !self.is_member(node),
             "node {node} issued READ-UPDATE while already enrolled"
         );
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             RicKind::ReadUpdateReq,
@@ -301,7 +274,7 @@ impl UpdateList {
 
     /// Processor issues `READ-GLOBAL` for one word.
     pub fn read_global(&mut self, node: NodeId, word: u8) -> Vec<RicMsg> {
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             RicKind::ReadGlobalReq { word },
@@ -310,7 +283,7 @@ impl UpdateList {
 
     /// The write buffer issues a buffered `WRITE-GLOBAL`.
     pub fn write_global(&mut self, node: NodeId, word: u8, value: u64, wid: u64) -> Vec<RicMsg> {
-        vec![Self::ctl(
+        vec![Msg::ctl(
             Endpoint::Node(node),
             Endpoint::Dir,
             RicKind::WriteGlobal { word, value, wid },
@@ -331,15 +304,15 @@ impl UpdateList {
         let mut msgs = Vec::new();
         if let Some(p) = m.prev {
             self.members.get_mut(&p).expect("prev member").next = m.next;
-            msgs.push(Self::ctl(me, Endpoint::Node(p), RicKind::Splice));
+            msgs.push(Msg::ctl(me, Endpoint::Node(p), RicKind::Splice));
         } else {
             // We were the head: tell the directory.
             self.head = m.next;
-            msgs.push(Self::ctl(me, Endpoint::Dir, RicKind::HeadChange));
+            msgs.push(Msg::ctl(me, Endpoint::Dir, RicKind::HeadChange));
         }
         if let Some(n) = m.next {
             self.members.get_mut(&n).expect("next member").prev = m.prev;
-            msgs.push(Self::ctl(me, Endpoint::Node(n), RicKind::Splice));
+            msgs.push(Msg::ctl(me, Endpoint::Node(n), RicKind::Splice));
         }
         msgs
     }
@@ -372,15 +345,20 @@ impl UpdateList {
                     );
                     if let Some(h) = old_head {
                         self.members.get_mut(&h).expect("old head").prev = Some(src);
-                        msgs.push(Self::ctl(Endpoint::Dir, Endpoint::Node(h), RicKind::Splice));
+                        msgs.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(h), RicKind::Splice));
                     }
                     self.head = Some(src);
                 }
-                msgs.push(self.data_msg(Endpoint::Dir, Endpoint::Node(src), RicKind::ReadReply));
+                msgs.push(Msg::data(
+                    Endpoint::Dir,
+                    Endpoint::Node(src),
+                    self.block_words,
+                    RicKind::ReadReply,
+                ));
                 (msgs, vec![])
             }
             RicKind::ReadGlobalReq { word } => (
-                vec![Self::ctl(
+                vec![Msg::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(src),
                     RicKind::ReadGlobalReply { word },
@@ -396,13 +374,18 @@ impl UpdateList {
                         c.dirty &= !(1 << word);
                     }
                 }
-                let mut msgs = vec![Self::ctl(
+                let mut msgs = vec![Msg::ctl(
                     Endpoint::Dir,
                     Endpoint::Node(src),
                     RicKind::WriteAck { wid },
                 )];
                 if let Some(h) = self.head {
-                    msgs.push(self.data_msg(Endpoint::Dir, Endpoint::Node(h), RicKind::UpdatePush));
+                    msgs.push(Msg::data(
+                        Endpoint::Dir,
+                        Endpoint::Node(h),
+                        self.block_words,
+                        RicKind::UpdatePush,
+                    ));
                 }
                 (msgs, vec![])
             }
@@ -437,9 +420,10 @@ impl UpdateList {
                     Some(m) => {
                         let mut msgs = Vec::new();
                         if let Some(nx) = m.next {
-                            msgs.push(self.data_msg(
+                            msgs.push(Msg::data(
                                 Endpoint::Node(node),
                                 Endpoint::Node(nx),
+                                self.block_words,
                                 RicKind::UpdatePush,
                             ));
                         }

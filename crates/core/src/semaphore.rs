@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use crate::addr::NodeId;
-use crate::cbl::Endpoint;
+use crate::msg::{Endpoint, Msg};
 
 /// Semaphore protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,18 +31,8 @@ pub enum SemKind {
     VAck,
 }
 
-/// A semaphore protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SemMsg {
-    /// Sender.
-    pub src: Endpoint,
-    /// Receiver.
-    pub dst: Endpoint,
-    /// Payload words (all control-sized).
-    pub words: u32,
-    /// Protocol content.
-    pub kind: SemKind,
-}
+/// A semaphore protocol message (all control-sized).
+pub type SemMsg = Msg<SemKind>;
 
 /// Externally visible semaphore effects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,22 +85,12 @@ impl HwSemaphore {
 
     /// Processor issues P.
     pub fn p(&mut self, node: NodeId) -> Vec<SemMsg> {
-        vec![SemMsg {
-            src: Endpoint::Node(node),
-            dst: Endpoint::Dir,
-            words: 1,
-            kind: SemKind::P,
-        }]
+        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, SemKind::P)]
     }
 
     /// Processor issues V (after flushing — V is CP-Synch).
     pub fn v(&mut self, node: NodeId) -> Vec<SemMsg> {
-        vec![SemMsg {
-            src: Endpoint::Node(node),
-            dst: Endpoint::Dir,
-            words: 1,
-            kind: SemKind::V,
-        }]
+        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, SemKind::V)]
     }
 
     /// Delivers a semaphore message.
@@ -124,12 +104,7 @@ impl HwSemaphore {
                     self.count -= 1;
                     self.grants += 1;
                     (
-                        vec![SemMsg {
-                            src: Endpoint::Dir,
-                            dst: Endpoint::Node(src),
-                            words: 1,
-                            kind: SemKind::Grant,
-                        }],
+                        vec![Msg::ctl(Endpoint::Dir, Endpoint::Node(src), SemKind::Grant)],
                         vec![],
                     )
                 } else {
@@ -145,22 +120,12 @@ impl HwSemaphore {
                 let Endpoint::Node(src) = msg.src else {
                     panic!("V from directory")
                 };
-                let mut out = vec![SemMsg {
-                    src: Endpoint::Dir,
-                    dst: Endpoint::Node(src),
-                    words: 1,
-                    kind: SemKind::VAck,
-                }];
+                let mut out = vec![Msg::ctl(Endpoint::Dir, Endpoint::Node(src), SemKind::VAck)];
                 match self.waiters.pop_front() {
                     // Hand the credit straight to the oldest waiter.
                     Some(w) => {
                         self.grants += 1;
-                        out.push(SemMsg {
-                            src: Endpoint::Dir,
-                            dst: Endpoint::Node(w),
-                            words: 1,
-                            kind: SemKind::Grant,
-                        });
+                        out.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(w), SemKind::Grant));
                     }
                     None => self.count += 1,
                 }

@@ -23,16 +23,17 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ssmp_coherence::{
-    CohEffect, CohKind, CohMsg, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind,
-    WbiBlock, WbiKind,
+    CohEffect, CohKind, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind, WbiBlock,
+    WbiKind,
 };
 use ssmp_core::addr::{BlockId, NodeId};
-use ssmp_core::barrier::{BarEffect, BarKind, BarMsg, HwBarrier};
-use ssmp_core::cbl::{CblEffect, CblKind, CblMsg, Endpoint, LockQueue};
+use ssmp_core::barrier::{BarEffect, BarKind, HwBarrier};
+use ssmp_core::cbl::{CblEffect, CblKind, LockQueue};
 use ssmp_core::line::BlockData;
+use ssmp_core::msg::{Endpoint, Msg};
 use ssmp_core::primitive::{AccessClass, LockMode};
-use ssmp_core::ric::{RicEffect, RicMsg, UpdateList};
-use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind, SemMsg};
+use ssmp_core::ric::{RicEffect, RicKind, UpdateList};
+use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind};
 use ssmp_core::wbuf::Enqueue;
 use ssmp_engine::trace::{Family, Kind, TraceEvent, Tracer};
 use ssmp_engine::{
@@ -67,16 +68,21 @@ enum Ev {
     Timeout { node: NodeId, epoch: u64 },
 }
 
-/// A protocol message with enough context to route it.
-#[derive(Debug, Clone)]
-enum Proto {
+/// A protocol message on the machine's wire: the controllers' shared
+/// envelope around a [`Body`].
+type Proto = Msg<Body>;
+
+/// A controller's message kind plus the context that routes it: which
+/// controller delivers it and which module is its home.
+#[derive(Debug, Clone, Copy)]
+enum Body {
     Cbl {
         lock: LockId,
-        msg: CblMsg,
+        kind: CblKind,
     },
     Ric {
         block: BlockId,
-        msg: RicMsg,
+        kind: RicKind,
     },
     /// Coherence traffic of one line of [`Machine::coh`]: a shared-data
     /// block under the configured backend (WBI directory, snooping MESI,
@@ -84,28 +90,23 @@ enum Proto {
     /// barrier flag (see [`Line`]).
     Coh {
         line: usize,
-        msg: CohMsg,
+        kind: CohKind,
     },
-    Bar {
-        msg: BarMsg,
-    },
+    Bar(BarKind),
     Sem {
         sem: usize,
-        msg: SemMsg,
+        kind: SemKind,
     },
     /// Request leg of a private-data miss (node → home module).
     PrivReq {
-        node: NodeId,
         home: NodeId,
     },
     /// Reply of a private-data fetch (home module → node).
     PrivFill {
-        node: NodeId,
         home: NodeId,
     },
     /// Dirty-victim writeback of a private-data miss.
     PrivWb {
-        node: NodeId,
         home: NodeId,
     },
 }
@@ -929,58 +930,33 @@ impl Machine {
 
     fn home_of(&self, p: &Proto) -> NodeId {
         let n = self.cfg.geometry.nodes;
-        match p {
-            Proto::Cbl { lock, .. } => lock % n,
-            Proto::Ric { block, .. } => block % n,
-            Proto::Coh { line, .. } => match self.line(*line) {
+        match p.kind {
+            Body::Cbl { lock, .. } => lock % n,
+            Body::Ric { block, .. } => block % n,
+            Body::Coh { line, .. } => match self.line(line) {
                 Line::Data(block) => block % n,
                 Line::Lock(lock) => lock % n,
                 Line::Flag => n - 1,
             },
-            Proto::Bar { .. } => 0,
-            Proto::Sem { sem, .. } => (sem + 1) % n,
-            Proto::PrivReq { home, .. }
-            | Proto::PrivFill { home, .. }
-            | Proto::PrivWb { home, .. } => *home,
-        }
-    }
-
-    fn endpoints(&self, p: &Proto) -> (Endpoint, Endpoint, u32) {
-        match p {
-            Proto::Cbl { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::Ric { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::Coh { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::Bar { msg } => (msg.src, msg.dst, msg.words),
-            Proto::Sem { msg, .. } => (msg.src, msg.dst, msg.words),
-            Proto::PrivReq { node, .. } => (Endpoint::Node(*node), Endpoint::Dir, 1),
-            Proto::PrivFill { node, .. } => (
-                Endpoint::Dir,
-                Endpoint::Node(*node),
-                self.cfg.geometry.block_words as u32,
-            ),
-            Proto::PrivWb { node, .. } => (
-                Endpoint::Node(*node),
-                Endpoint::Dir,
-                self.cfg.geometry.block_words as u32,
-            ),
+            Body::Bar(_) => 0,
+            Body::Sem { sem, .. } => (sem + 1) % n,
+            Body::PrivReq { home } | Body::PrivFill { home } | Body::PrivWb { home } => home,
         }
     }
 
     /// Protocol family of a message, for fault targeting.
     fn msg_kind(&self, p: &Proto) -> MsgKind {
-        match p {
-            Proto::Cbl { .. } => MsgKind::Cbl,
-            Proto::Ric { .. } => MsgKind::Ric,
-            Proto::Coh { line, .. } => match self.line(*line) {
+        match p.kind {
+            Body::Cbl { .. } => MsgKind::Cbl,
+            Body::Ric { .. } => MsgKind::Ric,
+            Body::Coh { line, .. } => match self.line(line) {
                 Line::Data(_) => MsgKind::WbiData,
                 Line::Lock(_) => MsgKind::WbiLock,
                 Line::Flag => MsgKind::WbiFlag,
             },
-            Proto::Bar { .. } => MsgKind::Barrier,
-            Proto::Sem { .. } => MsgKind::Semaphore,
-            Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => {
-                MsgKind::Private
-            }
+            Body::Bar(_) => MsgKind::Barrier,
+            Body::Sem { .. } => MsgKind::Semaphore,
+            Body::PrivReq { .. } | Body::PrivFill { .. } | Body::PrivWb { .. } => MsgKind::Private,
         }
     }
 
@@ -997,32 +973,30 @@ impl Machine {
     /// trace events (see [`Machine::msg_name`]), so counters and traces
     /// stay name-compatible.
     fn msg_key(p: &Proto) -> CounterId {
-        match p {
-            Proto::Cbl { msg, .. } => match msg.kind {
-                ssmp_core::cbl::CblKind::Request(_) => CounterId::MsgCblRequest,
-                ssmp_core::cbl::CblKind::Forward { .. } => CounterId::MsgCblForward,
-                ssmp_core::cbl::CblKind::GrantMem => CounterId::MsgCblGrantMem,
-                ssmp_core::cbl::CblKind::GrantChain => CounterId::MsgCblGrantChain,
-                ssmp_core::cbl::CblKind::Enqueued => CounterId::MsgCblEnqueued,
-                ssmp_core::cbl::CblKind::Release { .. } => CounterId::MsgCblRelease,
-                ssmp_core::cbl::CblKind::ReleaseAck => CounterId::MsgCblReleaseAck,
-                ssmp_core::cbl::CblKind::Bounce { .. } => CounterId::MsgCblBounce,
-                ssmp_core::cbl::CblKind::SpliceNext | ssmp_core::cbl::CblKind::SplicePrev => {
-                    CounterId::MsgCblSplice
-                }
+        match p.kind {
+            Body::Cbl { kind, .. } => match kind {
+                CblKind::Request(_) => CounterId::MsgCblRequest,
+                CblKind::Forward { .. } => CounterId::MsgCblForward,
+                CblKind::GrantMem => CounterId::MsgCblGrantMem,
+                CblKind::GrantChain => CounterId::MsgCblGrantChain,
+                CblKind::Enqueued => CounterId::MsgCblEnqueued,
+                CblKind::Release { .. } => CounterId::MsgCblRelease,
+                CblKind::ReleaseAck => CounterId::MsgCblReleaseAck,
+                CblKind::Bounce { .. } => CounterId::MsgCblBounce,
+                CblKind::SpliceNext | CblKind::SplicePrev => CounterId::MsgCblSplice,
             },
-            Proto::Ric { msg, .. } => match msg.kind {
-                ssmp_core::ric::RicKind::ReadUpdateReq => CounterId::MsgRicReadUpdate,
-                ssmp_core::ric::RicKind::ReadReply => CounterId::MsgRicReadReply,
-                ssmp_core::ric::RicKind::ReadGlobalReq { .. } => CounterId::MsgRicReadGlobal,
-                ssmp_core::ric::RicKind::ReadGlobalReply { .. } => CounterId::MsgRicReadGlobalReply,
-                ssmp_core::ric::RicKind::WriteGlobal { .. } => CounterId::MsgRicWriteGlobal,
-                ssmp_core::ric::RicKind::WriteAck { .. } => CounterId::MsgRicWriteAck,
-                ssmp_core::ric::RicKind::UpdatePush => CounterId::MsgRicUpdatePush,
-                ssmp_core::ric::RicKind::HeadChange => CounterId::MsgRicHeadChange,
-                ssmp_core::ric::RicKind::Splice => CounterId::MsgRicSplice,
+            Body::Ric { kind, .. } => match kind {
+                RicKind::ReadUpdateReq => CounterId::MsgRicReadUpdate,
+                RicKind::ReadReply => CounterId::MsgRicReadReply,
+                RicKind::ReadGlobalReq { .. } => CounterId::MsgRicReadGlobal,
+                RicKind::ReadGlobalReply { .. } => CounterId::MsgRicReadGlobalReply,
+                RicKind::WriteGlobal { .. } => CounterId::MsgRicWriteGlobal,
+                RicKind::WriteAck { .. } => CounterId::MsgRicWriteAck,
+                RicKind::UpdatePush => CounterId::MsgRicUpdatePush,
+                RicKind::HeadChange => CounterId::MsgRicHeadChange,
+                RicKind::Splice => CounterId::MsgRicSplice,
             },
-            Proto::Coh { msg, .. } => match msg.kind {
+            Body::Coh { kind, .. } => match kind {
                 CohKind::Wbi(k) => match k {
                     WbiKind::ReadReq => CounterId::MsgWbiReadReq,
                     WbiKind::WriteReq => CounterId::MsgWbiWriteReq,
@@ -1065,18 +1039,18 @@ impl Machine {
                     DragonKind::UpdDone { .. } => CounterId::MsgDragonUpdDone,
                 },
             },
-            Proto::Bar { msg } => match msg.kind {
+            Body::Bar(kind) => match kind {
                 BarKind::Arrive => CounterId::MsgBarArrive,
                 BarKind::Ack => CounterId::MsgBarAck,
                 BarKind::Release => CounterId::MsgBarRelease,
             },
-            Proto::Sem { msg, .. } => match msg.kind {
+            Body::Sem { kind, .. } => match kind {
                 SemKind::P => CounterId::MsgSemP,
                 SemKind::V => CounterId::MsgSemV,
                 SemKind::Grant => CounterId::MsgSemGrant,
                 SemKind::VAck => CounterId::MsgSemVAck,
             },
-            Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => {
+            Body::PrivReq { .. } | Body::PrivFill { .. } | Body::PrivWb { .. } => {
                 CounterId::MsgPriv
             }
         }
@@ -1089,17 +1063,17 @@ impl Machine {
 
     /// Trace family of a message.
     fn msg_family(p: &Proto) -> Family {
-        match p {
-            Proto::Cbl { .. } => Family::Cbl,
-            Proto::Ric { .. } => Family::Ric,
-            Proto::Coh { msg, .. } => match msg.kind {
+        match p.kind {
+            Body::Cbl { .. } => Family::Cbl,
+            Body::Ric { .. } => Family::Ric,
+            Body::Coh { kind, .. } => match kind {
                 CohKind::Wbi(_) => Family::Wbi,
                 CohKind::Mesi(_) => Family::Mesi,
                 CohKind::Dragon(_) => Family::Dragon,
             },
-            Proto::Bar { .. } => Family::Bar,
-            Proto::Sem { .. } => Family::Sem,
-            Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => Family::Priv,
+            Body::Bar(_) => Family::Bar,
+            Body::Sem { .. } => Family::Sem,
+            Body::PrivReq { .. } | Body::PrivFill { .. } | Body::PrivWb { .. } => Family::Priv,
         }
     }
 
@@ -1122,19 +1096,18 @@ impl Machine {
         self.wire_ctr += 1;
         let id = self.wire_ctr;
         if let Some(t) = self.tracking {
-            if self.endpoints(&p).0 == Endpoint::Node(t) {
-                self.track_buf.push((id, p.clone()));
+            if p.src == Endpoint::Node(t) {
+                self.track_buf.push((id, p));
             }
         }
         if self.tracer.is_on() {
-            let (src, dst, _) = self.endpoints(&p);
-            let dst_mod = match dst {
+            let dst_mod = match p.dst {
                 Endpoint::Node(x) => x,
                 Endpoint::Dir => self.home_of(&p),
             };
             self.tracer.emit(TraceEvent {
                 cycle: depart,
-                node: Self::trace_node(src),
+                node: Self::trace_node(p.src),
                 family: Self::msg_family(&p),
                 kind: Kind::NetInject,
                 detail: Self::msg_name(&p),
@@ -1160,7 +1133,7 @@ impl Machine {
                 self.wire_txn.insert(id, owner);
                 self.tracer.emit(TraceEvent {
                     cycle: depart,
-                    node: Self::trace_node(src),
+                    node: Self::trace_node(p.src),
                     family: Self::msg_family(&p),
                     kind: Kind::Link,
                     detail: "wire",
@@ -1177,18 +1150,17 @@ impl Machine {
     /// whether the message is dropped, duplicated, or delayed.
     fn route_wire(&mut self, depart: Cycle, id: u64, p: Proto) {
         let home = self.home_of(&p);
-        let (src, dst, words) = self.endpoints(&p);
-        let sp = match src {
+        let sp = match p.src {
             Endpoint::Node(x) => x,
             Endpoint::Dir => home,
         };
-        let dp = match dst {
+        let dp = match p.dst {
             Endpoint::Node(x) => x,
             Endpoint::Dir => home,
         };
         let kind = self.msg_kind(&p);
-        let dir = Self::msg_dir(src, dst);
-        let d = self.net.send(depart, sp, dp, words, kind, dir);
+        let dir = Self::msg_dir(p.src, p.dst);
+        let d = self.net.send(depart, sp, dp, p.words, kind, dir);
         if self.tracer.is_on() {
             let detail = match d.fault {
                 Some(FaultDecision::Drop) => Some("drop"),
@@ -1203,7 +1175,7 @@ impl Machine {
                 };
                 self.tracer.emit(TraceEvent {
                     cycle: depart,
-                    node: Self::trace_node(src),
+                    node: Self::trace_node(p.src),
                     family: Self::msg_family(&p),
                     kind: Kind::Fault,
                     detail,
@@ -1213,31 +1185,26 @@ impl Machine {
             }
         }
         if let Some(at) = d.duplicate {
-            self.events.schedule(at, Ev::Deliver { id, p: p.clone() });
+            self.events.schedule(at, Ev::Deliver { id, p });
         }
         if let Some(at) = d.arrival {
             self.events.schedule(at, Ev::Deliver { id, p });
         }
     }
 
-    fn route_all_cbl(&mut self, depart: Cycle, lock: LockId, msgs: Vec<CblMsg>) {
-        for msg in msgs {
-            self.route(depart, Proto::Cbl { lock, msg });
-        }
-    }
-
-    fn route_all_ric(&mut self, depart: Cycle, block: BlockId, msgs: Vec<RicMsg>) {
-        for msg in msgs {
-            self.route(depart, Proto::Ric { block, msg });
+    /// Routes every message a controller returned, each wrapped with its
+    /// routing context by `body`.
+    fn route_all<K: Copy>(&mut self, depart: Cycle, msgs: Vec<Msg<K>>, body: impl Fn(K) -> Body) {
+        for m in msgs {
+            self.route(depart, m.with_kind(body(m.kind)));
         }
     }
 
     /// A read miss on coherence line `line`: sends the request and stalls
     /// `node` for the fill.
     fn coh_read_miss(&mut self, node: NodeId, line: usize, now: Cycle) {
-        for msg in self.coh[line].read_req(node) {
-            self.route(now, Proto::Coh { line, msg });
-        }
+        let msgs = self.coh[line].read_req(node);
+        self.route_all(now, msgs, |kind| Body::Coh { line, kind });
         self.stall_node(node, Waiting::Fill, now);
     }
 
@@ -1252,9 +1219,8 @@ impl Machine {
         pending: SyncCtx,
         now: Cycle,
     ) {
-        for msg in self.coh[line].write_req(node, word, value) {
-            self.route(now, Proto::Coh { line, msg });
-        }
+        let msgs = self.coh[line].write_req(node, word, value);
+        self.route_all(now, msgs, |kind| Body::Coh { line, kind });
         self.nodes[node].sync = Some(pending);
         self.stall_node(node, Waiting::Fill, now);
     }
@@ -1283,7 +1249,7 @@ impl Machine {
             // so the protocol controller sees it twice — a deliberate
             // exactly-once violation the fuzzer must find and shrink.
             let planted = self.cfg.planted_bug == Some(PlantedBug::CblDedupSkip)
-                && matches!(p, Proto::Cbl { .. });
+                && matches!(p.kind, Body::Cbl { .. });
             if !planted {
                 self.counters.bump_id(CounterId::NetDedup);
                 if self.tracer.is_on() {
@@ -1302,10 +1268,9 @@ impl Machine {
         }
         let now = self.now();
         if self.tracer.is_on() {
-            let (_, dst, _) = self.endpoints(&p);
             self.tracer.emit(TraceEvent {
                 cycle: now,
-                node: Self::trace_node(dst),
+                node: Self::trace_node(p.dst),
                 family: Self::msg_family(&p),
                 kind: Kind::NetDeliver,
                 detail: Self::msg_name(&p),
@@ -1313,52 +1278,45 @@ impl Machine {
                 arg: 0,
             });
         }
-        // Private-data traffic is serviced directly at the memory module —
-        // no protocol controller involved.
-        match p {
-            Proto::PrivReq { node, home } => {
+        // Process at the destination; outgoing messages depart after the
+        // local processing time. Each arm applies its effects and then
+        // routes the outgoing messages directly — no intermediate
+        // `Vec<Proto>` per delivery. Private-data traffic is serviced
+        // directly at the memory module, with no protocol controller.
+        match p.kind {
+            Body::PrivReq { home } => {
                 let t = self.mems[home].service(now, self.cfg.mem.data_cost());
-                self.route(t, Proto::PrivFill { node, home });
-                return;
+                let words = self.cfg.geometry.block_words.into();
+                self.route(
+                    t,
+                    Msg::data(Endpoint::Dir, p.src, words, Body::PrivFill { home }),
+                );
             }
-            Proto::PrivFill { node, .. } => {
+            Body::PrivFill { .. } => {
                 self.counters.bump_id(CounterId::PrivFill);
+                let Endpoint::Node(node) = p.dst else {
+                    unreachable!("private fill to a home module")
+                };
                 if self.nodes[node].waiting == Waiting::Fill {
                     self.resume_from(node, Waiting::Fill, now);
                 }
-                return;
             }
-            Proto::PrivWb { home, .. } => {
+            Body::PrivWb { home } => {
                 self.mems[home].service(now, self.cfg.mem.data_cost());
-                return;
             }
-            _ => {}
-        }
-        let home = self.home_of(&p);
-        let (_, dst, in_words) = self.endpoints(&p);
-
-        // Process at the destination; outgoing messages depart after the
-        // local processing time.
-        // Each arm applies its effects and then routes the outgoing
-        // messages directly, wrapping them into `Proto` one at a time —
-        // no intermediate `Vec<Proto>` per delivery.
-        let touches_memory = Self::dir_touches_memory(&p);
-        match p {
-            Proto::Cbl { lock, msg } => {
+            Body::Cbl { lock, kind } => {
                 if let Some(c) = &self.check {
                     // Directory arrival order of requests defines the FIFO
                     // the grant stream must honour.
-                    if msg.dst == Endpoint::Dir {
-                        if let (Endpoint::Node(n), CblKind::Request(_)) = (msg.src, &msg.kind) {
-                            c.borrow_mut().cbl_request(lock, n, now);
-                        }
+                    if let (Endpoint::Node(n), Endpoint::Dir, CblKind::Request(_)) =
+                        (p.src, p.dst, kind)
+                    {
+                        c.borrow_mut().cbl_request(lock, n, now);
                     }
                 }
                 let depth_before = self.tracer.is_on().then(|| self.cbl[lock].waiters().len());
-                let (msgs, effects) = self.cbl[lock].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
+                let (msgs, effects) = self.cbl[lock].deliver(p.with_kind(kind));
+                let t_done = self.processing_done(&p, &msgs, now);
                 if let Some(before) = depth_before {
                     let after = self.cbl[lock].waiters().len();
                     if after != before {
@@ -1374,27 +1332,19 @@ impl Machine {
                     }
                 }
                 self.apply_cbl_effects(lock, &effects, t_done);
-                for msg in msgs {
-                    self.route(t_done, Proto::Cbl { lock, msg });
-                }
+                self.route_all(t_done, msgs, |kind| Body::Cbl { lock, kind });
             }
-            Proto::Ric { block, msg } => {
+            Body::Ric { block, kind } => {
                 let len_before = self.tracer.is_on().then(|| self.ric[block].len());
-                let (msgs, effects) = self.ric[block].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
+                let (msgs, effects) = self.ric[block].deliver(p.with_kind(kind));
+                let t_done = self.processing_done(&p, &msgs, now);
                 self.emit_ric_len_change(block, len_before, t_done);
                 self.apply_ric_effects(block, effects, t_done);
-                for msg in msgs {
-                    self.route(t_done, Proto::Ric { block, msg });
-                }
+                self.route_all(t_done, msgs, |kind| Body::Ric { block, kind });
             }
-            Proto::Coh { line, msg } => {
-                let (msgs, effects) = self.coh[line].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
+            Body::Coh { line, kind } => {
+                let (msgs, effects) = self.coh[line].deliver(p.with_kind(kind));
+                let t_done = self.processing_done(&p, &msgs, now);
                 self.apply_coh_effects(line, effects, t_done);
                 if let Some(c) = &self.check {
                     c.borrow_mut().structural(
@@ -1403,15 +1353,11 @@ impl Machine {
                         self.coh[line].check_single_writer(),
                     );
                 }
-                for msg in msgs {
-                    self.route(t_done, Proto::Coh { line, msg });
-                }
+                self.route_all(t_done, msgs, |kind| Body::Coh { line, kind });
             }
-            Proto::Bar { msg } => {
-                let (msgs, effects) = self.hwbar.deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
+            Body::Bar(kind) => {
+                let (msgs, effects) = self.hwbar.deliver(p.with_kind(kind));
+                let t_done = self.processing_done(&p, &msgs, now);
                 for e in effects {
                     let BarEffect::Passed { node, .. } = e;
                     self.counters.bump_id(CounterId::BarrierHwPassed);
@@ -1419,15 +1365,11 @@ impl Machine {
                         self.resume_from(node, Waiting::BarrierPass, t_done);
                     }
                 }
-                for msg in msgs {
-                    self.route(t_done, Proto::Bar { msg });
-                }
+                self.route_all(t_done, msgs, Body::Bar);
             }
-            Proto::Sem { sem, msg } => {
-                let (msgs, effects) = self.sems[sem].deliver(msg);
-                let out_data = msgs.iter().any(|m| m.words > 1);
-                let t_done =
-                    self.processing_done(dst, home, touches_memory, in_words, out_data, now);
+            Body::Sem { sem, kind } => {
+                let (msgs, effects) = self.sems[sem].deliver(p.with_kind(kind));
+                let t_done = self.processing_done(&p, &msgs, now);
                 for e in effects {
                     match e {
                         SemEffect::Acquired { node } => {
@@ -1443,41 +1385,31 @@ impl Machine {
                         }
                     }
                 }
-                for msg in msgs {
-                    self.route(t_done, Proto::Sem { sem, msg });
-                }
-            }
-            Proto::PrivReq { .. } | Proto::PrivFill { .. } | Proto::PrivWb { .. } => {
-                unreachable!("private traffic handled above")
+                self.route_all(t_done, msgs, |kind| Body::Sem { sem, kind });
             }
         }
     }
 
-    /// Computes when processing of a delivered message finishes: at a node,
-    /// a cache-directory check; at the home directory, a memory-module
-    /// service of `t_D` — plus `t_m` when main memory is read or written
-    /// (block data moving in or out, a one-word `WRITE-GLOBAL` or
-    /// `READ-GLOBAL`, or a barrier/semaphore counter update; pure
-    /// directory-pointer transactions like a queue forward cost `t_D`
-    /// only, as in Table 3).
-    fn processing_done(
-        &mut self,
-        dst: Endpoint,
-        home: NodeId,
-        touches_memory: bool,
-        in_words: u32,
-        out_data: bool,
-        arrival: Cycle,
-    ) -> Cycle {
-        match dst {
+    /// Computes when processing of delivered `p`, which sends `out` on,
+    /// finishes: at a node, a cache-directory check; at the home
+    /// directory, a memory-module service of `t_D` — plus `t_m` when main
+    /// memory is read or written (block data moving in or out, a one-word
+    /// `WRITE-GLOBAL` or `READ-GLOBAL`, or a barrier/semaphore counter
+    /// update; pure directory-pointer transactions like a queue forward
+    /// cost `t_D` only, as in Table 3).
+    fn processing_done<K>(&mut self, p: &Proto, out: &[Msg<K>], arrival: Cycle) -> Cycle {
+        match p.dst {
             Endpoint::Node(_) => arrival + self.cfg.mem.dir_check,
             Endpoint::Dir => {
-                let data = touches_memory || in_words > 1 || out_data;
+                let data = Self::dir_touches_memory(&p.kind)
+                    || p.carries_data()
+                    || out.iter().any(Msg::carries_data);
                 let cost = if data {
                     self.cfg.mem.data_cost()
                 } else {
                     self.cfg.mem.control_cost()
                 };
+                let home = self.home_of(p);
                 self.mems[home].service(arrival, cost)
             }
         }
@@ -1486,19 +1418,18 @@ impl Machine {
     /// Whether a directory-bound message necessarily accesses main memory
     /// (beyond the directory entry) even when all its payloads are
     /// control-sized.
-    fn dir_touches_memory(p: &Proto) -> bool {
-        match p {
-            Proto::Ric { msg, .. } => matches!(
-                msg.kind,
-                ssmp_core::ric::RicKind::WriteGlobal { .. }
-                    | ssmp_core::ric::RicKind::ReadGlobalReq { .. }
+    fn dir_touches_memory(body: &Body) -> bool {
+        match body {
+            Body::Ric { kind, .. } => matches!(
+                kind,
+                RicKind::WriteGlobal { .. } | RicKind::ReadGlobalReq { .. }
             ),
-            Proto::Bar { msg } => matches!(msg.kind, BarKind::Arrive),
-            Proto::Sem { msg, .. } => matches!(msg.kind, SemKind::P | SemKind::V),
+            Body::Bar(kind) => matches!(kind, BarKind::Arrive),
+            Body::Sem { kind, .. } => matches!(kind, SemKind::P | SemKind::V),
             // A Dragon write request carries the store's word to the home,
             // which applies it to main memory on serialization.
-            Proto::Coh { msg, .. } => matches!(
-                msg.kind,
+            Body::Coh { kind, .. } => matches!(
+                kind,
                 CohKind::Dragon(DragonKind::Upd { .. } | DragonKind::UpdFill { .. })
             ),
             _ => false,
@@ -1583,6 +1514,20 @@ impl Machine {
             }
         }
         self.nodes[node].stall(w, now);
+    }
+
+    /// CP-Synch guard of `UNLOCK`, V and barrier arrival: when the model
+    /// flushes before CP-Synch and `node`'s write buffer is not drained,
+    /// stalls it on the flush with `op` pending and returns true.
+    fn flush_before_cp_synch(&mut self, node: NodeId, op: Op, now: Cycle) -> bool {
+        if !self.cfg.model.flush_before(AccessClass::CpSynch) || self.nodes[node].wbuf.is_drained()
+        {
+            return false;
+        }
+        self.counters.bump_id(CounterId::FlushBeforeCpSynch);
+        self.nodes[node].pending_op = Some(op);
+        self.stall_node_tagged(node, Waiting::Flush, now, "flush.cp-synch");
+        true
     }
 
     /// Emits a heatmap access event (profiler input): which block/word a
@@ -2248,16 +2193,13 @@ impl Machine {
                         victim_home,
                     } => {
                         self.counters.bump_id(CounterId::PrivMiss);
-                        self.route(now, Proto::PrivReq { node, home });
+                        let me = Endpoint::Node(node);
+                        self.route(now, Msg::ctl(me, Endpoint::Dir, Body::PrivReq { home }));
                         if dirty_victim {
                             self.counters.bump_id(CounterId::PrivWriteback);
-                            self.route(
-                                now,
-                                Proto::PrivWb {
-                                    node,
-                                    home: victim_home,
-                                },
-                            );
+                            let words = self.cfg.geometry.block_words.into();
+                            let wb = Body::PrivWb { home: victim_home };
+                            self.route(now, Msg::data(me, Endpoint::Dir, words, wb));
                         }
                         self.stall_node(node, Waiting::Fill, now);
                     }
@@ -2278,7 +2220,10 @@ impl Machine {
                                 self.nodes[node].pending_record = Some(addr);
                             }
                             let msgs = self.ric[addr.block].read_update(node);
-                            self.route_all_ric(now, addr.block, msgs);
+                            self.route_all(now, msgs, |kind| Body::Ric {
+                                block: addr.block,
+                                kind,
+                            });
                             self.stall_node(node, Waiting::Fill, now);
                         }
                     }
@@ -2312,7 +2257,10 @@ impl Machine {
                         self.nodes[node].pending_record = Some(addr);
                     }
                     let msgs = self.ric[addr.block].read_global(node, addr.word);
-                    self.route_all_ric(now, addr.block, msgs);
+                    self.route_all(now, msgs, |kind| Body::Ric {
+                        block: addr.block,
+                        kind,
+                    });
                     self.stall_node(node, Waiting::Fill, now);
                 }
                 _ => {
@@ -2332,7 +2280,10 @@ impl Machine {
                             self.nodes[node].pending_record = Some(addr);
                         }
                         let msgs = self.ric[addr.block].read_global(node, addr.word);
-                        self.route_all_ric(now, addr.block, msgs);
+                        self.route_all(now, msgs, |kind| Body::Ric {
+                            block: addr.block,
+                            kind,
+                        });
                         self.stall_node(node, Waiting::Fill, now);
                     }
                     _ => {
@@ -2460,7 +2411,7 @@ impl Machine {
                         self.events.schedule(now + 1, Ev::Resume(node));
                     } else {
                         let msgs = self.ric[block].read_update(node);
-                        self.route_all_ric(now, block, msgs);
+                        self.route_all(now, msgs, |kind| Body::Ric { block, kind });
                         self.stall_node(node, Waiting::Fill, now);
                     }
                 }
@@ -2477,7 +2428,7 @@ impl Machine {
                     let len_before = self.tracer.is_on().then(|| self.ric[block].len());
                     let msgs = self.ric[block].leave(node);
                     self.emit_ric_len_change(block, len_before, now);
-                    self.route_all_ric(now, block, msgs);
+                    self.route_all(now, msgs, |kind| Body::Ric { block, kind });
                 }
                 self.events.schedule(now + 1, Ev::Resume(node));
             }
@@ -2501,7 +2452,7 @@ impl Machine {
                         }
                         let _ = self.nodes[node].lock_cache.try_insert(lock);
                         let msgs = self.cbl[lock].request(node, mode);
-                        self.route_all_cbl(now, lock, msgs);
+                        self.route_all(now, msgs, |kind| Body::Cbl { lock, kind });
                         self.stall_node(node, Waiting::LockGrant(lock), now);
                     }
                     LockScheme::Tts | LockScheme::TtsBackoff => {
@@ -2513,19 +2464,14 @@ impl Machine {
             Op::Unlock(lock) => {
                 // CP-Synch: drain the write buffer first (buffered
                 // consistency); under SC the buffer is trivially drained.
-                if self.cfg.model.flush_before(AccessClass::CpSynch)
-                    && !self.nodes[node].wbuf.is_drained()
-                {
-                    self.counters.bump_id(CounterId::FlushBeforeCpSynch);
-                    self.nodes[node].pending_op = Some(op);
-                    self.stall_node_tagged(node, Waiting::Flush, now, "flush.cp-synch");
+                if self.flush_before_cp_synch(node, op, now) {
                     return;
                 }
                 match self.cfg.locks {
                     LockScheme::Cbl => {
                         self.nodes[node].held_locks.remove(&lock);
                         let (msgs, effects) = self.cbl[lock].release(node);
-                        self.route_all_cbl(now, lock, msgs);
+                        self.route_all(now, msgs, |kind| Body::Cbl { lock, kind });
                         let immediate_done = effects
                             .iter()
                             .any(|e| matches!(e, CblEffect::ReleaseComplete { .. }));
@@ -2590,26 +2536,17 @@ impl Machine {
                 // NP-Synch: no flush required.
                 self.counters.bump_id(CounterId::SemP);
                 let msgs = self.sems[sem].p(node);
-                for m in msgs {
-                    self.route(now, Proto::Sem { sem, msg: m });
-                }
+                self.route_all(now, msgs, |kind| Body::Sem { sem, kind });
                 self.stall_node(node, Waiting::SemGrant(sem), now);
             }
             Op::SemV(sem) => {
                 // CP-Synch: prior global writes must be performed first.
-                if self.cfg.model.flush_before(AccessClass::CpSynch)
-                    && !self.nodes[node].wbuf.is_drained()
-                {
-                    self.counters.bump_id(CounterId::FlushBeforeCpSynch);
-                    self.nodes[node].pending_op = Some(op);
-                    self.stall_node_tagged(node, Waiting::Flush, now, "flush.cp-synch");
+                if self.flush_before_cp_synch(node, op, now) {
                     return;
                 }
                 self.counters.bump_id(CounterId::SemV);
                 let msgs = self.sems[sem].v(node);
-                for m in msgs {
-                    self.route(now, Proto::Sem { sem, msg: m });
-                }
+                self.route_all(now, msgs, |kind| Body::Sem { sem, kind });
                 if self.cfg.model.waits_for_synch_completion() {
                     self.stall_node(node, Waiting::SemDone(sem), now);
                 } else {
@@ -2617,20 +2554,13 @@ impl Machine {
                 }
             }
             Op::Barrier => {
-                if self.cfg.model.flush_before(AccessClass::CpSynch)
-                    && !self.nodes[node].wbuf.is_drained()
-                {
-                    self.counters.bump_id(CounterId::FlushBeforeCpSynch);
-                    self.nodes[node].pending_op = Some(op);
-                    self.stall_node_tagged(node, Waiting::Flush, now, "flush.cp-synch");
+                if self.flush_before_cp_synch(node, op, now) {
                     return;
                 }
                 match self.cfg.barrier {
                     BarrierScheme::Hw => {
                         let msgs = self.hwbar.arrive(node);
-                        for m in msgs {
-                            self.route(now, Proto::Bar { msg: m });
-                        }
+                        self.route_all(now, msgs, Body::Bar);
                         self.stall_node(node, Waiting::BarrierPass, now);
                     }
                     BarrierScheme::Sw => {
@@ -2843,7 +2773,10 @@ impl Machine {
         // Wires of a buffered write belong to its wbuf span (tagged at
         // enqueue), not to whatever context scheduled the issue.
         self.cause = w.txn;
-        self.route_all_ric(now, w.addr.block, msgs);
+        self.route_all(now, msgs, |kind| Body::Ric {
+            block: w.addr.block,
+            kind,
+        });
         self.cause = 0;
         if self.cfg.retry.enabled {
             // Remember this write's wire messages until its ack retires it
@@ -3120,6 +3053,16 @@ mod tests {
             .build()
             .unwrap()
             .run()
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn wire_envelope_keeps_the_event_layout() {
+        // The shared header around `Body` is no larger than the former
+        // per-controller message variants: 80-byte wire message, 88-byte
+        // event.
+        assert!(std::mem::size_of::<Proto>() <= 80);
+        assert!(std::mem::size_of::<Ev>() <= 88);
     }
 
     #[test]
