@@ -17,7 +17,6 @@ pub use exp::{derive_seed, ExpArgs, Experiment, PointOutput, RunnerOpts, SweepRe
 pub use plot::{maybe_write_svg, to_svg};
 pub use results::{Row, Table};
 pub use runner::{
-    quick_mode, run_solver, run_sync, run_work_queue, run_work_queue_strong, sweep, NODES_SWEEP,
-    NODES_SWEEP_QUICK,
+    run_solver, run_sync, run_work_queue, run_work_queue_strong, NODES_SWEEP, NODES_SWEEP_QUICK,
 };
 pub use timing::Bench;

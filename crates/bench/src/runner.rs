@@ -10,14 +10,8 @@ use ssmp_workload::{
 /// The node counts the figures sweep (paper Figs. 4–7 span 4–64).
 pub const NODES_SWEEP: &[usize] = &[4, 8, 16, 32, 64];
 
-/// A cheaper sweep for `--quick` runs and criterion.
+/// A cheaper sweep for `--quick` runs.
 pub const NODES_SWEEP_QUICK: &[usize] = &[4, 8, 16];
-
-/// True when the harness should run the reduced-size experiments
-/// (`--quick` argument or `SSMP_QUICK=1`).
-pub fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick") || std::env::var_os("SSMP_QUICK").is_some()
-}
 
 /// Runs the work-queue model (weak scaling: `tasks_per_node` per node).
 pub fn run_work_queue(cfg: MachineConfig, grain: Grain, tasks_per_node: usize) -> Report {
@@ -75,33 +69,9 @@ pub fn run_solver(mut cfg: MachineConfig, alloc: Allocation, iterations: usize) 
         .run()
 }
 
-/// Runs `f` over `items` on scoped threads (simulations are independent,
-/// so parameter sweeps parallelise embarrassingly).
-pub fn sweep<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items.iter().map(|it| s.spawn(|| f(it))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sweep_preserves_order() {
-        let xs = [1u32, 2, 3, 4, 5];
-        let ys = sweep(&xs, |x| x * 10);
-        assert_eq!(ys, vec![10, 20, 30, 40, 50]);
-    }
 
     #[test]
     fn runners_produce_reports() {

@@ -1,7 +1,5 @@
-//! The hardware primitives of paper Table 1 and the synchronization classes
-//! of the buffered consistency model (§2).
-
-use crate::addr::{BlockId, SharedAddr};
+//! The lock modes of the CBL primitives (paper Table 1, §4.3) and the
+//! synchronization classes of the buffered consistency model (§2).
 
 /// Lock access mode: `READ-LOCK` grants shared access, `WRITE-LOCK`
 /// exclusive access (paper §4.3).
@@ -18,36 +16,6 @@ impl LockMode {
     pub fn compatible(self, other: LockMode) -> bool {
         self == LockMode::Read && other == LockMode::Read
     }
-}
-
-/// The ten hardware primitives available to the processor (paper Table 1).
-///
-/// `READ`/`WRITE` perform no coherence actions and are treated as a
-/// uniprocessor cache would treat them; the remaining primitives are the
-/// architectural support for buffered consistency, reader-initiated
-/// coherence, and cache-based locking.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Primitive {
-    /// Retrieve data without coherence maintenance.
-    Read(SharedAddr),
-    /// Write data without coherence maintenance.
-    Write(SharedAddr),
-    /// Read data from main memory, bypassing the local cache.
-    ReadGlobal(SharedAddr),
-    /// Write data globally (through the write buffer under BC).
-    WriteGlobal(SharedAddr),
-    /// Retrieve data and ask main memory to send future updated values.
-    ReadUpdate(BlockId),
-    /// Cancel the request for updated values.
-    ResetUpdate(BlockId),
-    /// Stall until all requests in the write buffer are globally performed.
-    FlushBuffer,
-    /// Request a shared lock for a block (data arrives with the grant).
-    ReadLock(BlockId),
-    /// Request an exclusive lock for a block (data arrives with the grant).
-    WriteLock(BlockId),
-    /// Release the lock on a block.
-    Unlock(BlockId),
 }
 
 /// Synchronization classes of the buffered consistency model (§2).
@@ -67,26 +35,6 @@ pub enum AccessClass {
     CpSynch,
 }
 
-impl Primitive {
-    /// The synchronization class of this primitive under buffered
-    /// consistency.
-    pub fn class(&self) -> AccessClass {
-        match self {
-            Primitive::ReadLock(_) | Primitive::WriteLock(_) => AccessClass::NpSynch,
-            Primitive::Unlock(_) => AccessClass::CpSynch,
-            _ => AccessClass::Data,
-        }
-    }
-
-    /// Whether this primitive generates global (network) traffic by itself.
-    pub fn is_global(&self) -> bool {
-        !matches!(
-            self,
-            Primitive::Read(_) | Primitive::Write(_) | Primitive::FlushBuffer
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,30 +45,5 @@ mod tests {
         assert!(!LockMode::Read.compatible(LockMode::Write));
         assert!(!LockMode::Write.compatible(LockMode::Read));
         assert!(!LockMode::Write.compatible(LockMode::Write));
-    }
-
-    #[test]
-    fn classes_match_paper() {
-        let a = SharedAddr::new(0, 0);
-        assert_eq!(Primitive::ReadLock(0).class(), AccessClass::NpSynch);
-        assert_eq!(Primitive::WriteLock(0).class(), AccessClass::NpSynch);
-        assert_eq!(Primitive::Unlock(0).class(), AccessClass::CpSynch);
-        assert_eq!(Primitive::Read(a).class(), AccessClass::Data);
-        assert_eq!(Primitive::WriteGlobal(a).class(), AccessClass::Data);
-        assert_eq!(Primitive::FlushBuffer.class(), AccessClass::Data);
-    }
-
-    #[test]
-    fn globality() {
-        let a = SharedAddr::new(0, 0);
-        assert!(!Primitive::Read(a).is_global());
-        assert!(!Primitive::Write(a).is_global());
-        assert!(!Primitive::FlushBuffer.is_global());
-        assert!(Primitive::ReadGlobal(a).is_global());
-        assert!(Primitive::WriteGlobal(a).is_global());
-        assert!(Primitive::ReadUpdate(0).is_global());
-        assert!(Primitive::ResetUpdate(0).is_global());
-        assert!(Primitive::ReadLock(0).is_global());
-        assert!(Primitive::Unlock(0).is_global());
     }
 }

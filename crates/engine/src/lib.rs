@@ -14,7 +14,7 @@
 //!   We implement it here rather than depending on an external crate so that
 //!   a given seed produces the same reference stream forever, independent of
 //!   dependency upgrades.
-//! * [`stats`] — cheap counters, accumulators and power-of-two histograms
+//! * [`stats`] — cheap counters and power-of-two histograms
 //!   used for the paper's metrics (completion time, message counts, lock
 //!   wait times, ...).
 //! * [`IdMap`] — a dense table keyed by the machine's 1-based wire and
@@ -56,7 +56,7 @@ pub use idmap::IdMap;
 pub use json::{Json, JsonError};
 pub use rng::SimRng;
 pub use series::IntervalSeries;
-pub use stats::{Accumulator, CounterId, CounterSet, Histogram};
+pub use stats::{CounterId, CounterSet, Histogram};
 pub use trace::{
     Family, JsonlSink, Kind, MemorySink, OwnedEvent, PerfettoSink, TraceEvent, TraceFilter,
     TraceRing, TraceSink, Tracer,

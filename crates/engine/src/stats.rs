@@ -1,4 +1,4 @@
-//! Statistics collection: counters, accumulators and histograms.
+//! Statistics collection: counters and histograms.
 //!
 //! The paper's evaluation reports completion time in machine cycles and
 //! reasons extensively about *message counts* (Table 3 compares WBI and CBL
@@ -345,24 +345,6 @@ impl CounterSet {
         self.add_id(id, 1);
     }
 
-    /// Adds `by` to counter `name`.
-    ///
-    /// # Panics
-    /// If `name` is not in the [`keys`] table — bump through the
-    /// constants (or [`CounterSet::add_id`]), never ad-hoc strings.
-    #[inline]
-    pub fn add(&mut self, name: &'static str, by: u64) {
-        let id =
-            CounterId::from_name(name).unwrap_or_else(|| panic!("unknown counter key '{name}'"));
-        self.add_id(id, by);
-    }
-
-    /// Increments counter `name` by one (same panics as [`CounterSet::add`]).
-    #[inline]
-    pub fn bump(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Reads counter `name` (0 if never bumped or unknown).
     pub fn get(&self, name: &str) -> u64 {
         CounterId::from_name(name).map_or(0, |id| self.values[id as usize])
@@ -401,71 +383,6 @@ impl fmt::Display for CounterSet {
             writeln!(f, "{k:<40} {v:>14}")?;
         }
         Ok(())
-    }
-}
-
-/// Streaming min/max/mean/count accumulator.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct Accumulator {
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Mean of observations (`None` if empty).
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Minimum observation (`None` if empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum observation (`None` if empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator's observations into this one.
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -594,9 +511,9 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sort() {
         let mut c = CounterSet::new();
-        c.bump(keys::MSG_CBL_REQUEST);
-        c.add(keys::MSG_CBL_REQUEST, 2);
-        c.bump(keys::MSG_CBL_RELEASE);
+        c.bump_id(CounterId::MsgCblRequest);
+        c.add_id(CounterId::MsgCblRequest, 2);
+        c.bump_id(CounterId::MsgCblRelease);
         assert_eq!(c.get(keys::MSG_CBL_REQUEST), 3);
         assert_eq!(c.get(keys::MSG_CBL_RELEASE), 1);
         assert_eq!(c.get("absent"), 0);
@@ -608,10 +525,10 @@ mod tests {
     #[test]
     fn counters_merge() {
         let mut a = CounterSet::new();
-        a.add(keys::PRIV_HIT, 2);
+        a.add_id(CounterId::PrivHit, 2);
         let mut b = CounterSet::new();
-        b.add(keys::PRIV_HIT, 3);
-        b.add(keys::PRIV_MISS, 1);
+        b.add_id(CounterId::PrivHit, 3);
+        b.add_id(CounterId::PrivMiss, 1);
         a.merge(&b);
         assert_eq!(a.get(keys::PRIV_HIT), 5);
         assert_eq!(a.get(keys::PRIV_MISS), 1);
@@ -622,16 +539,10 @@ mod tests {
     #[test]
     fn counter_display_lists_all() {
         let mut c = CounterSet::new();
-        c.add(keys::WBUF_ISSUED, 1);
-        c.add(keys::WBUF_ACKED, 2);
+        c.add_id(CounterId::WbufIssued, 1);
+        c.add_id(CounterId::WbufAcked, 2);
         let s = format!("{c}");
         assert!(s.contains(keys::WBUF_ISSUED) && s.contains(keys::WBUF_ACKED));
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown counter key")]
-    fn bump_of_unknown_key_panics() {
-        CounterSet::new().bump("not.a.real.key");
     }
 
     #[test]
@@ -666,23 +577,7 @@ mod tests {
         c.bump_id(CounterId::NetDedup);
         let listed: Vec<_> = c.iter().collect();
         assert_eq!(listed, vec![(keys::NET_DEDUP, 1)]);
-        // name- and id-based bumps hit the same slot
-        c.bump(keys::NET_DEDUP);
-        assert_eq!(c.get(keys::NET_DEDUP), 2);
-    }
-
-    #[test]
-    fn accumulator_basic() {
-        let mut a = Accumulator::new();
-        assert_eq!(a.mean(), None);
-        a.record(1.0);
-        a.record(3.0);
-        a.record(2.0);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), Some(2.0));
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(3.0));
-        assert_eq!(a.sum(), 6.0);
+        assert_eq!(c.get(keys::NET_DEDUP), 1);
     }
 
     #[test]
@@ -755,23 +650,6 @@ mod tests {
         assert_eq!(set.len(), all.len());
         assert!(keys::MSG_CBL_REQUEST.starts_with(keys::MSG_CBL_PREFIX));
         assert!(keys::MSG_WBI_INV.starts_with(keys::MSG_WBI_PREFIX));
-    }
-
-    #[test]
-    fn accumulator_merge() {
-        let mut a = Accumulator::new();
-        a.record(1.0);
-        let mut b = Accumulator::new();
-        b.record(5.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.mean(), Some(3.0));
-        assert_eq!(a.min(), Some(1.0));
-        assert_eq!(a.max(), Some(5.0));
-        // merging empty is a no-op
-        a.merge(&Accumulator::new());
-        assert_eq!(a.count(), 3);
     }
 
     #[test]

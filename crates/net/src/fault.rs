@@ -398,11 +398,6 @@ impl FaultyInterconnect {
         t
     }
 
-    /// Whether a fault plan is installed.
-    pub fn is_faulty(&self) -> bool {
-        self.plan.is_some()
-    }
-
     /// Sends a classified packet; the plan (if any) decides its fate.
     pub fn send(
         &mut self,
