@@ -1,46 +1,17 @@
-//! Microbenchmarks of the simulator substrates: event queue throughput,
-//! PRNG, Ω-network routing, and raw protocol transition rates.
+//! Microbenchmarks of the simulator substrates: the timing-wheel
+//! scheduler under simulator-like load, PRNG, Ω-network routing, and raw
+//! protocol transition rates.
 
 use ssmp_bench::Bench;
 use ssmp_core::cbl::LockQueue;
 use ssmp_core::primitive::LockMode;
 use ssmp_core::ric::UpdateList;
-use ssmp_engine::{EventQueue, SimRng, WheelQueue};
+use ssmp_engine::{SimRng, WheelQueue};
 use ssmp_net::{NetConfig, OmegaNetwork};
 
-fn bench_event_queue(b: &Bench) {
-    b.run("engine_event_queue/push_pop_10k", || {
-        let mut q = EventQueue::new();
-        let mut rng = SimRng::new(1);
-        for i in 0..10_000u64 {
-            q.schedule(rng.below(1_000_000).max(q.now()), i);
-            if i % 4 == 0 {
-                std::hint::black_box(q.pop());
-            }
-        }
-        while q.pop().is_some() {}
-    });
-}
-
-fn bench_wheel_vs_heap(b: &Bench) {
+fn bench_wheel(b: &Bench) {
     // simulator-like load: mostly near-future events, occasional far ones
-    b.run("engine_wheel_vs_heap/heap_simload_10k", || {
-        let mut q = EventQueue::new();
-        let mut rng = SimRng::new(2);
-        for i in 0..10_000u64 {
-            let d = if rng.chance(0.95) {
-                rng.below(8)
-            } else {
-                rng.below(500)
-            };
-            q.schedule_in(d, i);
-            if i % 2 == 0 {
-                std::hint::black_box(q.pop());
-            }
-        }
-        while q.pop().is_some() {}
-    });
-    b.run("engine_wheel_vs_heap/wheel_simload_10k", || {
+    b.run("engine_wheel/simload_10k", || {
         let mut q = WheelQueue::new(64);
         let mut rng = SimRng::new(2);
         for i in 0..10_000u64 {
@@ -126,8 +97,7 @@ fn bench_protocols(b: &Bench) {
 
 fn main() {
     let b = Bench::from_args();
-    bench_event_queue(&b);
-    bench_wheel_vs_heap(&b);
+    bench_wheel(&b);
     bench_rng(&b);
     bench_network(&b);
     bench_protocols(&b);

@@ -23,7 +23,7 @@
 //! The wheel wins when event times are dense and near the current time
 //! (the common case for a machine simulator, where most events are a few
 //! cycles out); the heap wins on sparse, long-horizon schedules. The
-//! `micro` criterion bench compares both under simulator-like load.
+//! `micro` bench times the wheel under simulator-like load.
 
 use std::collections::{BTreeMap, VecDeque};
 
