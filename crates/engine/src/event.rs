@@ -210,12 +210,25 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "scheduled in the past")]
     fn past_scheduling_panics_in_debug() {
         let mut q = EventQueue::new();
         q.schedule(10, ());
         q.pop();
         q.schedule(5, ());
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn past_scheduling_pops_at_now_in_release() {
+        let mut q = EventQueue::new();
+        q.schedule(10, 'a');
+        q.pop();
+        q.schedule(5, 'b');
+        let e = q.pop().unwrap();
+        assert_eq!((e.at, e.event), (10, 'b'));
+        assert_eq!(q.now(), 10);
     }
 
     proptest! {
