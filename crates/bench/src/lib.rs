@@ -2,7 +2,7 @@
 //!
 //! Shared infrastructure for the experiment binaries (`table2`, `table3`,
 //! `fig4`–`fig7`, `ablations`) that regenerate the paper's tables and
-//! figures, and for the std-timing benches.
+//! figures.
 
 #![warn(missing_docs)]
 
@@ -11,7 +11,6 @@ pub mod plot;
 pub mod results;
 pub mod runner;
 pub mod scenarios;
-pub mod timing;
 
 pub use exp::{derive_seed, ExpArgs, Experiment, PointOutput, RunnerOpts, SweepResult};
 pub use plot::{maybe_write_svg, to_svg};
@@ -19,4 +18,3 @@ pub use results::{Row, Table};
 pub use runner::{
     run_solver, run_sync, run_work_queue, run_work_queue_strong, NODES_SWEEP, NODES_SWEEP_QUICK,
 };
-pub use timing::Bench;

@@ -403,7 +403,7 @@ impl Checker {
         self.last_writer.get(&(block as u64)).copied()
     }
 
-    /// Violations found so far (capped at the first [`MAX_VIOLATIONS`]).
+    /// Violations found so far (capped at the first `MAX_VIOLATIONS`, 16).
     pub fn violations(&self) -> &[ViolationReport] {
         &self.violations
     }

@@ -30,7 +30,7 @@ use ssmp_core::addr::NodeId;
 use ssmp_core::line::BlockData;
 use ssmp_core::msg::{Endpoint, Msg};
 
-use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
+use crate::{CohEffect, CohKind, CohMsg, CohOutbox, CoherenceProtocol};
 
 /// Dragon message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,95 +143,54 @@ impl DragonBlock {
             .map(|(n, _)| *n)
     }
 
-    fn begin_or_queue(
-        &mut self,
-        node: NodeId,
-        txn: Txn,
-        msgs: &mut Vec<CohMsg>,
-        effects: &mut Vec<CohEffect>,
-    ) {
+    /// Sends `kind` from the home to `node`, with the block when `block`.
+    fn send(&self, node: NodeId, kind: DragonKind, block: bool, out: &mut CohOutbox) {
+        let words = if block { self.block_words } else { 1 };
+        out.data(Endpoint::Dir, Endpoint::Node(node), words, kind);
+    }
+
+    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         if self.busy.is_some() {
             self.queue.push_back((node, txn));
         } else {
-            self.begin(node, txn, msgs, effects);
+            self.begin(node, txn, out);
         }
     }
 
-    fn begin(
-        &mut self,
-        node: NodeId,
-        txn: Txn,
-        msgs: &mut Vec<CohMsg>,
-        effects: &mut Vec<CohEffect>,
-    ) {
+    fn begin(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         // an exclusive copy elsewhere must be recalled first, whatever
         // the transaction; it comes back downgraded to Sc, never gone.
-        if let Some(o) = self.excl_owner() {
-            if o != node {
-                self.busy = Some(Pending {
-                    txn,
-                    requester: node,
-                    acks_left: 1,
-                });
-                msgs.push(Msg::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(o),
-                    DragonKind::Fetch,
-                ));
-                return;
-            }
+        if let Some(o) = self.excl_owner().filter(|&o| o != node) {
+            self.busy = Some(Pending {
+                txn,
+                requester: node,
+                acks_left: 1,
+            });
+            self.send(o, DragonKind::Fetch, false, out);
+            return;
         }
         match txn {
-            Txn::Read => self.serve_read_now(node, msgs),
-            Txn::Upd { word, value } => {
-                self.serialize_update(node, word, value, false, msgs, effects)
-            }
-            Txn::UpdFill { word, value } => {
-                self.serialize_update(node, word, value, true, msgs, effects)
-            }
+            Txn::Read => self.serve_read_now(node, out),
+            Txn::Upd { word, value } => self.serialize_update(node, word, value, false, out),
+            Txn::UpdFill { word, value } => self.serialize_update(node, word, value, true, out),
         }
     }
 
-    fn serve_read_now(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
-        if self.lines.contains_key(&node) {
-            // defensive: a node re-reading a block it still holds
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                DragonKind::FillShared,
-            ));
-            return;
-        }
-        if self.lines.is_empty() {
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state: DragonState::Excl,
-                    data: self.mem.clone(),
-                },
-            );
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                DragonKind::FillExcl,
-            ));
+    fn serve_read_now(&mut self, node: NodeId, out: &mut CohOutbox) {
+        // (a node re-reading a block it still holds is served defensively)
+        let kind = if self.lines.contains_key(&node) {
+            DragonKind::FillShared
         } else {
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state: DragonState::Sc,
-                    data: self.mem.clone(),
-                },
-            );
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                DragonKind::FillShared,
-            ));
-        }
+            let (state, kind) = if self.lines.is_empty() {
+                (DragonState::Excl, DragonKind::FillExcl)
+            } else {
+                (DragonState::Sc, DragonKind::FillShared)
+            };
+            let data = self.mem.clone();
+            self.lines.insert(node, NodeLine { state, data });
+            kind
+        };
+        self.send(node, kind, true, out);
     }
 
     /// The write serialization point: home memory takes the word, the
@@ -245,27 +204,21 @@ impl DragonBlock {
         word: u8,
         value: u64,
         filling: bool,
-        msgs: &mut Vec<CohMsg>,
-        effects: &mut Vec<CohEffect>,
+        out: &mut CohOutbox,
     ) {
         self.mem.set(word, value);
-        effects.push(CohEffect::StoreSerialized { node, word, value });
-        let others: Vec<NodeId> = self.lines.keys().copied().filter(|&n| n != node).collect();
+        out.effect(CohEffect::StoreSerialized { node, word, value });
+        let others = self.lines.keys().filter(|&&n| n != node).count();
         if filling {
-            let state = if others.is_empty() {
+            let state = if others == 0 {
                 DragonState::Mod
             } else {
                 DragonState::Sm
             };
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state,
-                    data: self.mem.clone(),
-                },
-            );
+            let data = self.mem.clone();
+            self.lines.insert(node, NodeLine { state, data });
         }
-        if others.is_empty() {
+        if others == 0 {
             if let Some(line) = self.lines.get_mut(&node) {
                 // sole holder: promote in place (Sc/Sm writer whose
                 // co-sharers have since been recalled)
@@ -276,45 +229,38 @@ impl DragonBlock {
                 value,
                 sole: true,
             };
-            msgs.push(if filling {
-                Msg::data(Endpoint::Dir, Endpoint::Node(node), self.block_words, done)
-            } else {
-                Msg::ctl(Endpoint::Dir, Endpoint::Node(node), done)
-            });
-        } else {
-            for o in &others {
-                if let Some(line) = self.lines.get_mut(o) {
-                    if line.state == DragonState::Sm {
-                        line.state = DragonState::Sc;
-                    }
-                }
-                msgs.push(Msg::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(*o),
-                    DragonKind::UpdPush { word, value },
-                ));
-            }
-            if let Some(line) = self.lines.get_mut(&node) {
-                line.state = DragonState::Sm;
-            }
-            self.busy = Some(Pending {
-                txn: if filling {
-                    Txn::UpdFill { word, value }
-                } else {
-                    Txn::Upd { word, value }
-                },
-                requester: node,
-                acks_left: others.len(),
-            });
+            self.send(node, done, filling, out);
+            return;
         }
+        for (&o, line) in self.lines.iter_mut() {
+            if o == node {
+                line.state = DragonState::Sm;
+                continue;
+            }
+            if line.state == DragonState::Sm {
+                line.state = DragonState::Sc;
+            }
+            let push = DragonKind::UpdPush { word, value };
+            out.ctl(Endpoint::Dir, Endpoint::Node(o), push);
+        }
+        let txn = if filling {
+            Txn::UpdFill { word, value }
+        } else {
+            Txn::Upd { word, value }
+        };
+        self.busy = Some(Pending {
+            txn,
+            requester: node,
+            acks_left: others,
+        });
     }
 
-    fn pump_queue(&mut self, msgs: &mut Vec<CohMsg>, effects: &mut Vec<CohEffect>) {
+    fn pump_queue(&mut self, out: &mut CohOutbox) {
         while self.busy.is_none() {
             let Some((node, txn)) = self.queue.pop_front() else {
                 break;
             };
-            self.begin(node, txn, msgs, effects);
+            self.begin(node, txn, out);
         }
     }
 }
@@ -356,108 +302,76 @@ impl CoherenceProtocol for DragonBlock {
         vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox) {
         let CohKind::Dragon(kind) = msg.kind else {
             panic!("Dragon backend delivered a foreign message: {:?}", msg.kind);
         };
-        let mut msgs = Vec::new();
-        let mut effects = Vec::new();
         match (kind, msg.src, msg.dst) {
             (DragonKind::Rd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::Read, out)
             }
             (DragonKind::Upd { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Upd { word, value }, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::Upd { word, value }, out)
             }
             (DragonKind::UpdFill { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::UpdFill { word, value }, &mut msgs, &mut effects);
+                self.begin_or_queue(n, Txn::UpdFill { word, value }, out)
             }
             (DragonKind::Fetch, _, Endpoint::Node(n)) => {
+                let me = Endpoint::Node(n);
                 if let Some(line) = self.lines.get_mut(&n) {
                     self.mem = line.data.clone();
                     line.state = DragonState::Sc;
-                    effects.push(CohEffect::Downgraded { node: n });
-                    msgs.push(Msg::data(
-                        Endpoint::Node(n),
-                        Endpoint::Dir,
-                        self.block_words,
-                        DragonKind::OwnerData,
-                    ));
+                    out.effect(CohEffect::Downgraded { node: n });
+                    out.data(me, Endpoint::Dir, self.block_words, DragonKind::OwnerData);
                 } else {
-                    msgs.push(Msg::ctl(
-                        Endpoint::Node(n),
-                        Endpoint::Dir,
-                        DragonKind::FetchMiss,
-                    ));
+                    out.ctl(me, Endpoint::Dir, DragonKind::FetchMiss);
                 }
             }
             (DragonKind::OwnerData | DragonKind::FetchMiss, _, Endpoint::Dir) => {
                 let p = self.busy.take().expect("writeback with no transaction");
                 // the old owner is Sc now; re-dispatch the blocked request
-                self.begin(p.requester, p.txn, &mut msgs, &mut effects);
-                self.pump_queue(&mut msgs, &mut effects);
+                self.begin(p.requester, p.txn, out);
+                self.pump_queue(out);
             }
             (DragonKind::UpdPush { word, value }, _, Endpoint::Node(n)) => {
                 if let Some(line) = self.lines.get_mut(&n) {
                     line.data.set(word, value);
-                    effects.push(CohEffect::UpdateApplied { node: n, word });
+                    out.effect(CohEffect::UpdateApplied { node: n, word });
                 }
-                msgs.push(Msg::ctl(
-                    Endpoint::Node(n),
-                    Endpoint::Dir,
-                    DragonKind::UpdAck,
-                ));
+                out.ctl(Endpoint::Node(n), Endpoint::Dir, DragonKind::UpdAck);
             }
             (DragonKind::UpdAck, _, Endpoint::Dir) => {
-                let done = {
-                    let p = self.busy.as_mut().expect("UpdAck with no transaction");
-                    p.acks_left -= 1;
-                    p.acks_left == 0
-                };
-                if done {
-                    let p = self.busy.take().expect("checked above");
-                    let (word, value, filling) = match p.txn {
-                        Txn::Upd { word, value } => (word, value, false),
-                        Txn::UpdFill { word, value } => (word, value, true),
-                        Txn::Read => unreachable!("reads collect no update acks"),
-                    };
-                    let done = DragonKind::UpdDone {
-                        word,
-                        value,
-                        sole: false,
-                    };
-                    msgs.push(if filling {
-                        Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            self.block_words,
-                            done,
-                        )
-                    } else {
-                        Msg::ctl(Endpoint::Dir, Endpoint::Node(p.requester), done)
-                    });
-                    self.pump_queue(&mut msgs, &mut effects);
+                let p = self.busy.as_mut().expect("UpdAck with no transaction");
+                p.acks_left -= 1;
+                if p.acks_left > 0 {
+                    return;
                 }
+                let p = self.busy.take().expect("checked above");
+                let (word, value, filling) = match p.txn {
+                    Txn::Upd { word, value } => (word, value, false),
+                    Txn::UpdFill { word, value } => (word, value, true),
+                    Txn::Read => unreachable!("reads collect no update acks"),
+                };
+                let done = DragonKind::UpdDone {
+                    word,
+                    value,
+                    sole: false,
+                };
+                self.send(p.requester, done, filling, out);
+                self.pump_queue(out);
             }
             (DragonKind::UpdDone { word, value, .. }, _, Endpoint::Node(n)) => {
                 if let Some(line) = self.lines.get_mut(&n) {
                     line.data.set(word, value);
                 }
-                effects.push(CohEffect::StoreComplete { node: n });
+                out.effect(CohEffect::StoreComplete { node: n });
             }
             (DragonKind::FillShared | DragonKind::FillExcl, _, Endpoint::Node(n)) => {
-                effects.push(CohEffect::FilledShared {
-                    node: n,
-                    data: self
-                        .lines
-                        .get(&n)
-                        .map(|l| l.data.clone())
-                        .unwrap_or_else(|| self.mem.clone()),
-                });
+                let data = self.lines.get(&n).map_or(&self.mem, |l| &l.data).clone();
+                out.effect(CohEffect::FilledShared { node: n, data });
             }
             (k, src, dst) => panic!("Dragon: misrouted {k:?} from {src:?} to {dst:?}"),
         }
-        (msgs, effects)
     }
 
     fn coherent_word(&self, word: u8) -> u64 {

@@ -22,9 +22,15 @@
 //! blocking-transaction queue; [`CohMsg`]s — the shared
 //! [`ssmp_core::msg::Msg`] envelope around a [`CohKind`] — are timing
 //! tokens (source, destination, payload size, kind) whose data travels
-//! implicitly through the controller. The RIC scheme stays outside the trait — its update
-//! lists live in the node caches and the write buffer, a different shape
-//! entirely (and the paper's proposal, not a baseline).
+//! implicitly through the controller.
+//!
+//! The paper's own scheme, RIC, has the same per-block shape:
+//! [`ssmp_core::ric::UpdateList`] holds memory, the update-list links and
+//! every node's cached copy, and it reports through the same
+//! [`CohEffect`] vocabulary (defined in `ssmp-core` and re-exported
+//! here), so the machine applies all four backends' effects on one path.
+//! It stays outside the trait because its stores drain through the write
+//! buffer as `WRITE-GLOBAL`s that retire by write id.
 
 #![warn(missing_docs)]
 
@@ -37,8 +43,9 @@ pub use mesi::{MesiBlock, MesiKind};
 pub use wbi::{WbiBlock, WbiKind};
 
 use ssmp_core::addr::NodeId;
-use ssmp_core::line::BlockData;
-use ssmp_core::msg::Msg;
+use ssmp_core::msg::{Msg, Outbox};
+
+pub use ssmp_core::msg::CohEffect;
 
 /// Protocol content of a coherence message, tagged by backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,75 +82,15 @@ impl From<DragonKind> for CohKind {
 /// [`CohKind`].
 pub type CohMsg = Msg<CohKind>;
 
-/// Externally visible protocol effects, consumed by the machine. The
-/// first five are the invalidate-protocol lifecycle; the last three exist
-/// for Dragon, whose stores complete
-/// *in-protocol* (the home applies the word and multicasts it) instead of
-/// through a local write after an ownership grant.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CohEffect {
-    /// A shared copy arrived at `node`.
-    FilledShared {
-        /// Receiving node.
-        node: NodeId,
-        /// Block contents.
-        data: BlockData,
-    },
-    /// An exclusive copy arrived at `node`; the pending store may proceed.
-    FilledExcl {
-        /// Receiving node.
-        node: NodeId,
-        /// Block contents.
-        data: BlockData,
-    },
-    /// Ownership arrived without data (requester already had the block).
-    UpgradeGranted {
-        /// Receiving node.
-        node: NodeId,
-    },
-    /// The node's copy was invalidated (write elsewhere).
-    Invalidated {
-        /// The invalidated node.
-        node: NodeId,
-    },
-    /// The node's exclusive copy was downgraded to shared (read elsewhere).
-    Downgraded {
-        /// The downgraded node.
-        node: NodeId,
-    },
-    /// A multicast update was applied to `node`'s cached copy (Dragon).
-    UpdateApplied {
-        /// The updated sharer.
-        node: NodeId,
-        /// The word that changed.
-        word: u8,
-    },
-    /// A store was serialized at home memory (Dragon): the written value
-    /// is globally visible from this point — the provenance oracle must
-    /// learn it *before* any pushed copy is read.
-    StoreSerialized {
-        /// The writing node.
-        node: NodeId,
-        /// Written word.
-        word: u8,
-        /// Written value.
-        value: u64,
-    },
-    /// The writer's update transaction completed (Dragon): the pending
-    /// store is done without a local write — the protocol already applied
-    /// it everywhere.
-    StoreComplete {
-        /// The writing node.
-        node: NodeId,
-    },
-}
+/// Where a backend's delivery puts its messages and effects.
+pub type CohOutbox = Outbox<CohKind, CohEffect>;
 
 /// One shared data block's coherence backend, as the machine sees it.
 ///
 /// The machine calls `local_read`/`local_write` on the issuing node's
 /// behalf (hit path), falls back to `read_req`/`write_req` on a miss, and
-/// feeds every delivered [`CohMsg`] back through `deliver`, routing the
-/// returned messages and applying the returned effects. The remaining
+/// feeds every delivered [`CohMsg`] back through `deliver_into`, applying
+/// the effects and routing the messages it left in the outbox. The remaining
 /// methods serve the finish-time memory view, watchdog line summaries,
 /// and the sanitizer's per-protocol invariants.
 pub trait CoherenceProtocol {
@@ -163,8 +110,15 @@ pub trait CoherenceProtocol {
     /// grant); Dragon carries them to home, where the store serializes.
     fn write_req(&mut self, node: NodeId, word: u8, value: u64) -> Vec<CohMsg>;
 
-    /// Processes a delivered message; returns follow-on wires and effects.
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>);
+    /// Processes a delivered message, appending follow-on wires and
+    /// effects to `out`.
+    fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox);
+
+    /// The Vec-returning form of [`CoherenceProtocol::deliver_into`]:
+    /// delivers into a fresh outbox and returns its messages and effects.
+    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+        Outbox::collect(|out| self.deliver_into(msg, out))
+    }
 
     /// The coherent value of `word` at quiescence: the exclusive owner's
     /// copy if one exists, else home memory.

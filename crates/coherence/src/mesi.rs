@@ -27,7 +27,7 @@ use ssmp_core::addr::NodeId;
 use ssmp_core::line::BlockData;
 use ssmp_core::msg::{Endpoint, Msg};
 
-use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
+use crate::{CohEffect, CohKind, CohMsg, CohOutbox, CoherenceProtocol};
 
 /// Snooping-MESI message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,149 +119,93 @@ impl MesiBlock {
         }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, msgs: &mut Vec<CohMsg>) {
+    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         if self.busy.is_some() {
             self.queue.push_back((node, txn));
         } else {
-            self.begin(node, txn, msgs);
+            self.begin(node, txn, out);
         }
     }
 
-    fn begin(&mut self, node: NodeId, txn: Txn, msgs: &mut Vec<CohMsg>) {
-        match txn {
-            Txn::Read => match self.owner {
-                Some(o) if o != node => {
-                    self.busy = Some(Pending {
-                        txn,
-                        requester: node,
-                        acks_left: 1,
-                    });
-                    msgs.push(Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(o),
-                        MesiKind::Fetch { shared: true },
-                    ));
+    fn begin(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
+        match (txn, self.owner) {
+            (_, Some(o)) if o != node => {
+                self.busy = Some(Pending {
+                    txn,
+                    requester: node,
+                    acks_left: 1,
+                });
+                let shared = txn == Txn::Read;
+                self.send(o, MesiKind::Fetch { shared }, false, out);
+            }
+            (Txn::Read, _) => self.serve_read_now(node, out),
+            (Txn::Write, _) if self.nodes > 1 => {
+                // the snoop: every other cache is interrogated, copy
+                // or not, and the write waits for all of them.
+                self.busy = Some(Pending {
+                    txn,
+                    requester: node,
+                    acks_left: self.nodes - 1,
+                });
+                for o in (0..self.nodes).filter(|&o| o != node) {
+                    self.send(o, MesiKind::Inv, false, out);
                 }
-                _ => self.serve_read_now(node, msgs),
-            },
-            Txn::Write => match self.owner {
-                Some(o) if o != node => {
-                    self.busy = Some(Pending {
-                        txn,
-                        requester: node,
-                        acks_left: 1,
-                    });
-                    msgs.push(Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(o),
-                        MesiKind::Fetch { shared: false },
-                    ));
-                }
-                _ if self.nodes > 1 => {
-                    // the snoop: every other cache is interrogated, copy
-                    // or not, and the write waits for all of them.
-                    self.busy = Some(Pending {
-                        txn,
-                        requester: node,
-                        acks_left: self.nodes - 1,
-                    });
-                    for o in 0..self.nodes {
-                        if o != node {
-                            msgs.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(o), MesiKind::Inv));
-                        }
-                    }
-                }
-                _ => self.grant_write(node, msgs),
-            },
+            }
+            (Txn::Write, _) => self.grant_write(node, out),
         }
     }
 
-    fn serve_read_now(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
-        if self.owner == Some(node) || self.lines.contains_key(&node) {
-            // defensive: a node re-reading a block it still holds
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                MesiKind::DataShared,
-            ));
-            return;
-        }
-        if self.lines.is_empty() {
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state: LineState::Exclusive,
-                    data: self.mem.clone(),
-                },
-            );
+    /// Sends `kind` from the home to `node`, with the block when `block`.
+    fn send(&self, node: NodeId, kind: MesiKind, block: bool, out: &mut CohOutbox) {
+        let words = if block { self.block_words } else { 1 };
+        out.data(Endpoint::Dir, Endpoint::Node(node), words, kind);
+    }
+
+    /// Installs memory's copy of the block at `node` in `state`.
+    fn install(&mut self, node: NodeId, state: LineState) {
+        let data = self.mem.clone();
+        self.lines.insert(node, NodeLine { state, data });
+    }
+
+    fn serve_read_now(&mut self, node: NodeId, out: &mut CohOutbox) {
+        // (a node re-reading a block it still holds is served defensively)
+        let kind = if self.owner == Some(node) || self.lines.contains_key(&node) {
+            MesiKind::DataShared
+        } else if self.lines.is_empty() {
+            self.install(node, LineState::Exclusive);
             self.owner = Some(node);
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                MesiKind::DataExclClean,
-            ));
+            MesiKind::DataExclClean
         } else {
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state: LineState::Shared,
-                    data: self.mem.clone(),
-                },
-            );
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                MesiKind::DataShared,
-            ));
-        }
+            self.install(node, LineState::Shared);
+            MesiKind::DataShared
+        };
+        self.send(node, kind, true, out);
     }
 
-    fn grant_write(&mut self, node: NodeId, msgs: &mut Vec<CohMsg>) {
+    fn grant_write(&mut self, node: NodeId, out: &mut CohOutbox) {
         // re-check the copy here, not at request time: a queued upgrader
         // may have been invalidated by the write that ran before it.
+        self.owner = Some(node);
         if let Some(line) = self.lines.get_mut(&node) {
             line.state = LineState::Modified;
-            self.owner = Some(node);
-            msgs.push(Msg::ctl(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                MesiKind::UpgradeAck,
-            ));
+            self.send(node, MesiKind::UpgradeAck, false, out);
         } else {
-            self.lines.insert(
-                node,
-                NodeLine {
-                    state: LineState::Modified,
-                    data: self.mem.clone(),
-                },
-            );
-            self.owner = Some(node);
-            msgs.push(Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                MesiKind::DataExcl,
-            ));
+            self.install(node, LineState::Modified);
+            self.send(node, MesiKind::DataExcl, true, out);
         }
     }
 
-    fn pump_queue(&mut self, msgs: &mut Vec<CohMsg>) {
+    fn pump_queue(&mut self, out: &mut CohOutbox) {
         while self.busy.is_none() {
             let Some((node, txn)) = self.queue.pop_front() else {
                 break;
             };
-            self.begin(node, txn, msgs);
+            self.begin(node, txn, out);
         }
     }
 
     fn fill_data(&self, node: NodeId) -> BlockData {
-        self.lines
-            .get(&node)
-            .map(|l| l.data.clone())
-            .unwrap_or_else(|| self.mem.clone())
+        self.lines.get(&node).map_or(&self.mem, |l| &l.data).clone()
     }
 }
 
@@ -303,93 +247,76 @@ impl CoherenceProtocol for MesiBlock {
         vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox) {
         let CohKind::Mesi(kind) = msg.kind else {
             panic!("MESI backend delivered a foreign message: {:?}", msg.kind);
         };
-        let mut msgs = Vec::new();
-        let mut effects = Vec::new();
         match (kind, msg.src, msg.dst) {
             (MesiKind::BusRd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, &mut msgs);
+                self.begin_or_queue(n, Txn::Read, out);
             }
             (MesiKind::BusRdx | MesiKind::BusUpgr, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Write, &mut msgs);
+                self.begin_or_queue(n, Txn::Write, out);
             }
             (MesiKind::Inv, _, Endpoint::Node(n)) => {
                 if self.lines.remove(&n).is_some() {
-                    effects.push(CohEffect::Invalidated { node: n });
+                    out.effect(CohEffect::Invalidated { node: n });
                 }
-                msgs.push(Msg::ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::InvAck));
+                out.ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::InvAck);
             }
             (MesiKind::InvAck, _, Endpoint::Dir) => {
-                let done = {
-                    let p = self.busy.as_mut().expect("InvAck with no transaction");
-                    p.acks_left -= 1;
-                    p.acks_left == 0
-                };
-                if done {
-                    let p = self.busy.take().expect("checked above");
-                    self.grant_write(p.requester, &mut msgs);
-                    self.pump_queue(&mut msgs);
+                let p = self.busy.as_mut().expect("InvAck with no transaction");
+                p.acks_left -= 1;
+                if p.acks_left > 0 {
+                    return;
                 }
+                let p = self.busy.take().expect("checked above");
+                self.grant_write(p.requester, out);
+                self.pump_queue(out);
             }
             (MesiKind::Fetch { shared }, _, Endpoint::Node(n)) => {
-                if let Some(line) = self.lines.remove(&n) {
-                    self.mem = line.data.clone();
-                    if shared {
-                        self.lines.insert(
-                            n,
-                            NodeLine {
-                                state: LineState::Shared,
-                                data: line.data,
-                            },
-                        );
-                        effects.push(CohEffect::Downgraded { node: n });
-                    } else {
-                        effects.push(CohEffect::Invalidated { node: n });
-                    }
-                    msgs.push(Msg::data(
-                        Endpoint::Node(n),
-                        Endpoint::Dir,
-                        self.block_words,
-                        MesiKind::OwnerData { downgrade: shared },
-                    ));
+                let me = Endpoint::Node(n);
+                let Some(line) = self.lines.remove(&n) else {
+                    out.ctl(me, Endpoint::Dir, MesiKind::FetchMiss);
+                    return;
+                };
+                self.mem = line.data.clone();
+                if shared {
+                    let state = LineState::Shared;
+                    self.lines.insert(n, NodeLine { state, ..line });
+                    out.effect(CohEffect::Downgraded { node: n });
                 } else {
-                    msgs.push(Msg::ctl(
-                        Endpoint::Node(n),
-                        Endpoint::Dir,
-                        MesiKind::FetchMiss,
-                    ));
+                    out.effect(CohEffect::Invalidated { node: n });
                 }
+                let reply = MesiKind::OwnerData { downgrade: shared };
+                out.data(me, Endpoint::Dir, self.block_words, reply);
             }
             (MesiKind::OwnerData { .. } | MesiKind::FetchMiss, _, Endpoint::Dir) => {
                 self.owner = None;
                 let p = self.busy.take().expect("writeback with no transaction");
                 match p.txn {
-                    Txn::Read => self.serve_read_now(p.requester, &mut msgs),
-                    Txn::Write => self.grant_write(p.requester, &mut msgs),
+                    Txn::Read => self.serve_read_now(p.requester, out),
+                    Txn::Write => self.grant_write(p.requester, out),
                 }
-                self.pump_queue(&mut msgs);
+                self.pump_queue(out);
             }
             (MesiKind::DataShared | MesiKind::DataExclClean, _, Endpoint::Node(n)) => {
-                effects.push(CohEffect::FilledShared {
+                out.effect(CohEffect::FilledShared {
                     node: n,
                     data: self.fill_data(n),
                 });
             }
             (MesiKind::DataExcl, _, Endpoint::Node(n)) => {
-                effects.push(CohEffect::FilledExcl {
+                out.effect(CohEffect::FilledExcl {
                     node: n,
                     data: self.fill_data(n),
                 });
             }
             (MesiKind::UpgradeAck, _, Endpoint::Node(n)) => {
-                effects.push(CohEffect::UpgradeGranted { node: n });
+                out.effect(CohEffect::UpgradeGranted { node: n });
             }
             (k, src, dst) => panic!("MESI: misrouted {k:?} from {src:?} to {dst:?}"),
         }
-        (msgs, effects)
     }
 
     fn coherent_word(&self, word: u8) -> u64 {

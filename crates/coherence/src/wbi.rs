@@ -20,7 +20,7 @@ use ssmp_core::addr::NodeId;
 use ssmp_core::line::BlockData;
 use ssmp_core::msg::{Endpoint, Msg};
 
-use crate::{CohEffect, CohKind, CohMsg, CoherenceProtocol};
+use crate::{CohEffect, CohKind, CohMsg, CohOutbox, CoherenceProtocol};
 
 /// Directory state for the block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -203,45 +203,55 @@ impl WbiBlock {
         }
     }
 
-    fn deliver_at_dir(&mut self, src: NodeId, kind: WbiKind) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    /// Sends block data from the home to `node`.
+    fn send_block(&self, node: NodeId, kind: WbiKind, out: &mut CohOutbox) {
+        out.data(Endpoint::Dir, Endpoint::Node(node), self.block_words, kind);
+    }
+
+    /// Installs memory's copy of the block at `node` in `state`; returns
+    /// the installed data.
+    fn install(&mut self, node: NodeId, state: LineState) -> BlockData {
+        let data = self.mem.clone();
+        let line = NodeLine {
+            state,
+            data: data.clone(),
+        };
+        self.lines.insert(node, line);
+        data
+    }
+
+    fn deliver_at_dir(&mut self, src: NodeId, kind: WbiKind, out: &mut CohOutbox) {
         match kind {
-            WbiKind::ReadReq => self.begin_or_queue(src, Txn::Read),
+            WbiKind::ReadReq => self.begin_or_queue(src, Txn::Read, out),
             WbiKind::WriteReq => {
                 let had = self.line_state(src) == Some(LineState::Shared);
-                self.begin_or_queue(src, Txn::Write { had_copy: had })
+                self.begin_or_queue(src, Txn::Write { had_copy: had }, out)
             }
             WbiKind::InvAck => {
                 let p = self.busy.as_mut().expect("ack with no transaction");
                 debug_assert!(p.acks_left > 0);
                 p.acks_left -= 1;
-                if p.acks_left == 0 {
-                    let p = self.busy.take().expect("checked");
-                    let mut msgs = match p.txn {
-                        Txn::Write { had_copy } => vec![self.grant_excl(p.requester, had_copy)],
-                        Txn::ReadEvict => {
-                            // The victim's ack arrived: record the new
-                            // sharer set and serve the read.
-                            let mut s = match std::mem::replace(&mut self.dir, DirState::Uncached) {
-                                DirState::Shared(s) => s,
-                                other => panic!("read-evict on {other:?}"),
-                            };
-                            s.retain(|n| self.lines.contains_key(n));
-                            s.insert(p.requester);
-                            self.dir = DirState::Shared(s);
-                            vec![Msg::data(
-                                Endpoint::Dir,
-                                Endpoint::Node(p.requester),
-                                self.block_words,
-                                WbiKind::DataShared,
-                            )]
-                        }
-                        Txn::Read => unreachable!("plain reads collect no acks"),
-                    };
-                    msgs.extend(self.pump_queue());
-                    (msgs, vec![])
-                } else {
-                    (vec![], vec![])
+                if p.acks_left > 0 {
+                    return;
                 }
+                let p = self.busy.take().expect("checked");
+                match p.txn {
+                    Txn::Write { had_copy } => self.grant_excl(p.requester, had_copy, out),
+                    Txn::ReadEvict => {
+                        // The victim's ack arrived: record the new sharer
+                        // set and serve the read.
+                        let mut s = match std::mem::replace(&mut self.dir, DirState::Uncached) {
+                            DirState::Shared(s) => s,
+                            other => panic!("read-evict on {other:?}"),
+                        };
+                        s.retain(|n| self.lines.contains_key(n));
+                        s.insert(p.requester);
+                        self.dir = DirState::Shared(s);
+                        self.send_block(p.requester, WbiKind::DataShared, out);
+                    }
+                    Txn::Read => unreachable!("plain reads collect no acks"),
+                }
+                self.pump_queue(out);
             }
             WbiKind::OwnerData { downgrade } => {
                 // Owner's data arrives; memory is refreshed and the waiting
@@ -251,64 +261,37 @@ impl WbiBlock {
                     self.mem = l.data.clone();
                 } // else: owner invalidated; data was stashed at fetch time
                 let p = self.busy.take().expect("owner data with no transaction");
-                let mut msgs = Vec::new();
                 match p.txn {
                     Txn::Read => {
                         debug_assert!(downgrade);
-                        let mut s: BTreeSet<NodeId> = BTreeSet::new();
-                        s.insert(src);
-                        s.insert(p.requester);
-                        self.dir = DirState::Shared(s);
-                        msgs.push(Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            self.block_words,
-                            WbiKind::DataShared,
-                        ));
+                        self.dir = DirState::Shared(BTreeSet::from([src, p.requester]));
+                        self.send_block(p.requester, WbiKind::DataShared, out);
                     }
                     Txn::ReadEvict => unreachable!("evictions fetch nothing from owners"),
                     Txn::Write { .. } => {
                         debug_assert!(!downgrade);
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            self.block_words,
-                            WbiKind::DataExcl { upgrade: false },
-                        ));
+                        self.send_block(p.requester, WbiKind::DataExcl { upgrade: false }, out);
                     }
                 }
-                msgs.extend(self.pump_queue());
-                (msgs, vec![])
+                self.pump_queue(out);
             }
             WbiKind::WbRace => {
                 // The fetch missed: the owner replaced the line and its
                 // write-back (already applied to memory) is in flight.
                 let p = self.busy.take().expect("race reply with no transaction");
-                let mut msgs = Vec::new();
                 match p.txn {
                     Txn::ReadEvict => unreachable!("evictions never fetch"),
                     Txn::Read => {
                         self.dir = DirState::Shared(BTreeSet::from([p.requester]));
-                        msgs.push(Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            self.block_words,
-                            WbiKind::DataShared,
-                        ));
+                        self.send_block(p.requester, WbiKind::DataShared, out);
                     }
                     Txn::Write { .. } => {
                         self.dir = DirState::Modified(p.requester);
-                        msgs.push(Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(p.requester),
-                            self.block_words,
-                            WbiKind::DataExcl { upgrade: false },
-                        ));
+                        self.send_block(p.requester, WbiKind::DataExcl { upgrade: false }, out);
                     }
                 }
-                msgs.extend(self.pump_queue());
-                (msgs, vec![])
+                self.pump_queue(out);
             }
             WbiKind::WriteBack => {
                 // Memory was already updated at replace(); retire the
@@ -316,21 +299,20 @@ impl WbiBlock {
                 if self.dir == DirState::Modified(src) {
                     self.dir = DirState::Uncached;
                 }
-                (vec![], vec![])
             }
             other => panic!("directory cannot handle {other:?}"),
         }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         if self.busy.is_some() {
             self.queue.push_back((node, txn));
-            return (vec![], vec![]);
+        } else {
+            self.begin(node, txn, out);
         }
-        (self.begin(node, txn), vec![])
     }
 
-    fn begin(&mut self, node: NodeId, txn: Txn) -> Vec<CohMsg> {
+    fn begin(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         match txn {
             // A queued ReadEvict restarts as a plain read against the
             // current state (the eviction may no longer be necessary).
@@ -341,20 +323,10 @@ impl WbiBlock {
                         // conservatively records an owner (it cannot see
                         // the silent E -> M upgrade).
                         self.dir = DirState::Modified(node);
-                        vec![Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(node),
-                            self.block_words,
-                            WbiKind::DataExclClean,
-                        )]
+                        self.send_block(node, WbiKind::DataExclClean, out);
                     } else {
                         self.dir = DirState::Shared(BTreeSet::from([node]));
-                        vec![Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(node),
-                            self.block_words,
-                            WbiKind::DataShared,
-                        )]
+                        self.send_block(node, WbiKind::DataShared, out);
                     }
                 }
                 DirState::Shared(mut s) => {
@@ -369,21 +341,13 @@ impl WbiBlock {
                                 requester: node,
                                 acks_left: 1,
                             });
-                            return vec![Msg::ctl(
-                                Endpoint::Dir,
-                                Endpoint::Node(victim),
-                                WbiKind::Inv,
-                            )];
+                            out.ctl(Endpoint::Dir, Endpoint::Node(victim), WbiKind::Inv);
+                            return;
                         }
                     }
                     s.insert(node);
                     self.dir = DirState::Shared(s);
-                    vec![Msg::data(
-                        Endpoint::Dir,
-                        Endpoint::Node(node),
-                        self.block_words,
-                        WbiKind::DataShared,
-                    )]
+                    self.send_block(node, WbiKind::DataShared, out);
                 }
                 DirState::Modified(owner) => {
                     self.busy = Some(Pending {
@@ -391,40 +355,29 @@ impl WbiBlock {
                         requester: node,
                         acks_left: 0,
                     });
-                    vec![Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(owner),
-                        WbiKind::FetchShared,
-                    )]
+                    out.ctl(Endpoint::Dir, Endpoint::Node(owner), WbiKind::FetchShared);
                 }
             },
             Txn::Write { had_copy } => match self.dir.clone() {
                 DirState::Uncached => {
                     self.dir = DirState::Modified(node);
-                    vec![Msg::data(
-                        Endpoint::Dir,
-                        Endpoint::Node(node),
-                        self.block_words,
-                        WbiKind::DataExcl { upgrade: false },
-                    )]
+                    self.send_block(node, WbiKind::DataExcl { upgrade: false }, out);
                 }
                 DirState::Shared(s) => {
-                    let others: Vec<NodeId> = s.iter().copied().filter(|&x| x != node).collect();
-                    if others.is_empty() {
-                        self.dir = DirState::Modified(node);
-                        vec![self.grant_excl(node, had_copy && s.contains(&node))]
+                    let had_copy = had_copy && s.contains(&node);
+                    let others = s.iter().filter(|&&x| x != node);
+                    let acks_left = others.clone().count();
+                    if acks_left == 0 {
+                        self.grant_excl(node, had_copy, out);
                     } else {
                         self.busy = Some(Pending {
-                            txn: Txn::Write {
-                                had_copy: had_copy && s.contains(&node),
-                            },
+                            txn: Txn::Write { had_copy },
                             requester: node,
-                            acks_left: others.len(),
+                            acks_left,
                         });
-                        others
-                            .into_iter()
-                            .map(|o| Msg::ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv))
-                            .collect()
+                        for &o in others {
+                            out.ctl(Endpoint::Dir, Endpoint::Node(o), WbiKind::Inv);
+                        }
                     }
                 }
                 DirState::Modified(owner) => {
@@ -434,36 +387,23 @@ impl WbiBlock {
                         requester: node,
                         acks_left: 0,
                     });
-                    vec![Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(owner),
-                        WbiKind::FetchExcl,
-                    )]
+                    out.ctl(Endpoint::Dir, Endpoint::Node(owner), WbiKind::FetchExcl);
                 }
             },
         }
     }
 
-    fn grant_excl(&mut self, node: NodeId, upgrade: bool) -> CohMsg {
+    fn grant_excl(&mut self, node: NodeId, upgrade: bool, out: &mut CohOutbox) {
         self.dir = DirState::Modified(node);
         if upgrade {
-            Msg::ctl(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                WbiKind::DataExcl { upgrade: true },
-            )
+            let grant = WbiKind::DataExcl { upgrade: true };
+            out.ctl(Endpoint::Dir, Endpoint::Node(node), grant);
         } else {
-            Msg::data(
-                Endpoint::Dir,
-                Endpoint::Node(node),
-                self.block_words,
-                WbiKind::DataExcl { upgrade: false },
-            )
+            self.send_block(node, WbiKind::DataExcl { upgrade: false }, out);
         }
     }
 
-    fn pump_queue(&mut self) -> Vec<CohMsg> {
-        let mut out = Vec::new();
+    fn pump_queue(&mut self, out: &mut CohOutbox) {
         while self.busy.is_none() {
             let Some((node, mut txn)) = self.queue.pop_front() else {
                 break;
@@ -475,131 +415,61 @@ impl WbiBlock {
             }
             // A queued read may already be satisfied (e.g. granted shared
             // while this request waited); serve it anyway from memory.
-            out.extend(self.begin(node, txn));
+            self.begin(node, txn, out);
         }
-        out
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, kind: WbiKind) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver_at_node(&mut self, node: NodeId, kind: WbiKind, out: &mut CohOutbox) {
+        let me = Endpoint::Node(node);
         match kind {
             WbiKind::DataShared => {
-                let data = self.mem.clone();
-                self.lines.insert(
-                    node,
-                    NodeLine {
-                        state: LineState::Shared,
-                        data: data.clone(),
-                    },
-                );
-                (vec![], vec![CohEffect::FilledShared { node, data }])
+                let data = self.install(node, LineState::Shared);
+                out.effect(CohEffect::FilledShared { node, data });
             }
             WbiKind::DataExclClean => {
-                let data = self.mem.clone();
-                self.lines.insert(
-                    node,
-                    NodeLine {
-                        state: LineState::Exclusive,
-                        data: data.clone(),
-                    },
-                );
                 // a read completes exactly like a shared fill
-                (vec![], vec![CohEffect::FilledShared { node, data }])
+                let data = self.install(node, LineState::Exclusive);
+                out.effect(CohEffect::FilledShared { node, data });
             }
-            WbiKind::DataExcl { upgrade } => {
-                if upgrade {
-                    match self.lines.get_mut(&node) {
-                        Some(l) => {
-                            l.state = LineState::Modified;
-                            (vec![], vec![CohEffect::UpgradeGranted { node }])
-                        }
-                        // Unreachable on a fault-free network, but a
-                        // delay-injected invalidation can overtake the
-                        // upgrade grant; the grant is authoritative, so
-                        // degrade to a full exclusive fill.
-                        None => {
-                            let data = self.mem.clone();
-                            self.lines.insert(
-                                node,
-                                NodeLine {
-                                    state: LineState::Modified,
-                                    data: data.clone(),
-                                },
-                            );
-                            (vec![], vec![CohEffect::FilledExcl { node, data }])
-                        }
-                    }
-                } else {
-                    let data = self.mem.clone();
-                    self.lines.insert(
-                        node,
-                        NodeLine {
-                            state: LineState::Modified,
-                            data: data.clone(),
-                        },
-                    );
-                    (vec![], vec![CohEffect::FilledExcl { node, data }])
+            WbiKind::DataExcl { upgrade } => match self.lines.get_mut(&node) {
+                Some(l) if upgrade => {
+                    l.state = LineState::Modified;
+                    out.effect(CohEffect::UpgradeGranted { node });
                 }
-            }
+                // A full exclusive fill — or an upgrade grant that a
+                // delay-injected invalidation overtook (unreachable on a
+                // fault-free network): the grant is authoritative, so it
+                // degrades to a full exclusive fill.
+                _ => {
+                    let data = self.install(node, LineState::Modified);
+                    out.effect(CohEffect::FilledExcl { node, data });
+                }
+            },
             WbiKind::Inv => {
-                let had = self.lines.remove(&node).is_some();
-                let effects = if had {
-                    vec![CohEffect::Invalidated { node }]
-                } else {
-                    vec![] // spurious Inv after silent replacement
-                };
-                (
-                    vec![Msg::ctl(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::InvAck,
-                    )],
-                    effects,
-                )
+                // (an Inv after a silent replacement is spurious: just ack)
+                if self.lines.remove(&node).is_some() {
+                    out.effect(CohEffect::Invalidated { node });
+                }
+                out.ctl(me, Endpoint::Dir, WbiKind::InvAck);
             }
             WbiKind::FetchShared => match self.lines.get_mut(&node) {
                 Some(l) => {
                     l.state = LineState::Shared;
                     self.mem = l.data.clone();
-                    (
-                        vec![Msg::data(
-                            Endpoint::Node(node),
-                            Endpoint::Dir,
-                            self.block_words,
-                            WbiKind::OwnerData { downgrade: true },
-                        )],
-                        vec![CohEffect::Downgraded { node }],
-                    )
+                    let reply = WbiKind::OwnerData { downgrade: true };
+                    out.data(me, Endpoint::Dir, self.block_words, reply);
+                    out.effect(CohEffect::Downgraded { node });
                 }
-                None => (
-                    vec![Msg::ctl(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::WbRace,
-                    )],
-                    vec![],
-                ),
+                None => out.ctl(me, Endpoint::Dir, WbiKind::WbRace),
             },
             WbiKind::FetchExcl => match self.lines.remove(&node) {
                 Some(l) => {
                     self.mem = l.data;
-                    (
-                        vec![Msg::data(
-                            Endpoint::Node(node),
-                            Endpoint::Dir,
-                            self.block_words,
-                            WbiKind::OwnerData { downgrade: false },
-                        )],
-                        vec![CohEffect::Invalidated { node }],
-                    )
+                    let reply = WbiKind::OwnerData { downgrade: false };
+                    out.data(me, Endpoint::Dir, self.block_words, reply);
+                    out.effect(CohEffect::Invalidated { node });
                 }
-                None => (
-                    vec![Msg::ctl(
-                        Endpoint::Node(node),
-                        Endpoint::Dir,
-                        WbiKind::WbRace,
-                    )],
-                    vec![],
-                ),
+                None => out.ctl(me, Endpoint::Dir, WbiKind::WbRace),
             },
             other => panic!("node cannot handle {other:?}"),
         }
@@ -648,13 +518,13 @@ impl CoherenceProtocol for WbiBlock {
         )]
     }
 
-    fn deliver(&mut self, msg: CohMsg) -> (Vec<CohMsg>, Vec<CohEffect>) {
+    fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox) {
         let CohKind::Wbi(kind) = msg.kind else {
             panic!("WBI backend delivered a foreign message: {:?}", msg.kind);
         };
         match (msg.src, msg.dst) {
-            (Endpoint::Node(src), Endpoint::Dir) => self.deliver_at_dir(src, kind),
-            (_, Endpoint::Node(n)) => self.deliver_at_node(n, kind),
+            (Endpoint::Node(src), Endpoint::Dir) => self.deliver_at_dir(src, kind, out),
+            (_, Endpoint::Node(n)) => self.deliver_at_node(n, kind, out),
             (Endpoint::Dir, Endpoint::Dir) => panic!("directory message from directory: {msg:?}"),
         }
     }

@@ -13,7 +13,7 @@
 //! (episode counter), which the machine uses for iterative workloads.
 
 use crate::addr::NodeId;
-use crate::msg::{Endpoint, Msg};
+use crate::msg::{Endpoint, Msg, Outbox};
 
 /// Barrier protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +111,9 @@ impl HwBarrier {
         )]
     }
 
-    /// Delivers a barrier message.
-    pub fn deliver(&mut self, msg: BarMsg) -> (Vec<BarMsg>, Vec<BarEffect>) {
+    /// Delivers a barrier message, appending the follow-on messages and
+    /// effects to `out`.
+    pub fn deliver_into(&mut self, msg: BarMsg, out: &mut Outbox<BarKind, BarEffect>) {
         match (msg.dst, msg.kind) {
             (Endpoint::Dir, BarKind::Arrive) => {
                 let Endpoint::Node(src) = msg.src else {
@@ -123,66 +124,50 @@ impl HwBarrier {
                     "node {src} arrived twice in one episode"
                 );
                 self.waiters.push(src);
-                if self.waiters.len() == self.n {
-                    // Last arriver: release the chain. It passes locally
-                    // (its Ack is the release) and the head waiter gets the
-                    // first release message.
-                    let episode = self.episode;
-                    self.episode += 1;
-                    let mut msgs = Vec::new();
-                    let mut effects = vec![BarEffect::Passed { node: src, episode }];
-                    let chain: Vec<NodeId> = self.waiters.drain(..).filter(|&w| w != src).collect();
-                    if let Some(&head) = chain.first() {
-                        msgs.push(Msg::ctl(
-                            Endpoint::Dir,
-                            Endpoint::Node(head),
-                            BarKind::Release,
-                        ));
-                    }
-                    // Stash the chain for the release propagation.
-                    self.release_chain = chain;
-                    (msgs, std::mem::take(&mut effects))
-                } else {
-                    (vec![Msg::ctl(Endpoint::Dir, msg.src, BarKind::Ack)], vec![])
+                if self.waiters.len() < self.n {
+                    out.ctl(Endpoint::Dir, msg.src, BarKind::Ack);
+                    return;
+                }
+                // Last arriver: release the chain. It passes locally (its
+                // Ack is the release) and the head waiter gets the first
+                // release message; the chain is kept for the propagation.
+                let episode = self.episode;
+                self.episode += 1;
+                out.effect(BarEffect::Passed { node: src, episode });
+                self.release_chain.clear();
+                self.release_chain
+                    .extend(self.waiters.drain(..).filter(|&w| w != src));
+                if let Some(&head) = self.release_chain.first() {
+                    out.ctl(Endpoint::Dir, Endpoint::Node(head), BarKind::Release);
                 }
             }
-            (Endpoint::Node(_), BarKind::Ack) => (vec![], vec![]),
+            (Endpoint::Node(_), BarKind::Ack) => {}
             (Endpoint::Node(node), BarKind::Release) => {
-                let episode = self.episode - 1;
                 let pos = self
                     .release_chain
                     .iter()
                     .position(|&w| w == node)
                     .expect("release delivered to a non-waiter");
-                let mut msgs = Vec::new();
-                match self.shape {
-                    ReleaseShape::Chain => {
-                        if let Some(&next) = self.release_chain.get(pos + 1) {
-                            msgs.push(Msg::ctl(
-                                Endpoint::Node(node),
-                                Endpoint::Node(next),
-                                BarKind::Release,
-                            ));
-                        }
-                    }
-                    ReleaseShape::Tree => {
-                        // binary heap indexing over the waiter list
-                        for child in [2 * pos + 1, 2 * pos + 2] {
-                            if let Some(&next) = self.release_chain.get(child) {
-                                msgs.push(Msg::ctl(
-                                    Endpoint::Node(node),
-                                    Endpoint::Node(next),
-                                    BarKind::Release,
-                                ));
-                            }
-                        }
-                    }
+                let next = match self.shape {
+                    ReleaseShape::Chain => pos + 1..pos + 2,
+                    // binary heap indexing over the waiter list
+                    ReleaseShape::Tree => 2 * pos + 1..2 * pos + 3,
+                };
+                for w in next.filter_map(|i| self.release_chain.get(i)) {
+                    out.ctl(Endpoint::Node(node), Endpoint::Node(*w), BarKind::Release);
                 }
-                (msgs, vec![BarEffect::Passed { node, episode }])
+                let episode = self.episode - 1;
+                out.effect(BarEffect::Passed { node, episode });
             }
             other => panic!("barrier cannot handle {other:?}"),
         }
     }
+}
+
+/// Delivers `m` into a fresh outbox (the tests' Vec-returning form).
+#[cfg(test)]
+fn deliver(b: &mut HwBarrier, m: BarMsg) -> (Vec<BarMsg>, Vec<BarEffect>) {
+    Outbox::collect(|out| b.deliver_into(m, out))
 }
 
 #[cfg(test)]
@@ -199,7 +184,7 @@ mod tests {
             wire.extend(ms);
             // drain after each arrival except we keep going regardless
             while let Some(m) = wire.pop_front() {
-                let (ms, eff) = b.deliver(m);
+                let (ms, eff) = deliver(b, m);
                 messages += ms.len();
                 wire.extend(ms);
                 for e in eff {
@@ -262,9 +247,9 @@ mod tests {
     fn double_arrival_panics() {
         let mut b = HwBarrier::new(3);
         let m = b.arrive(0);
-        b.deliver(m[0]);
+        deliver(&mut b, m[0]);
         let m = b.arrive(0);
-        b.deliver(m[0]);
+        deliver(&mut b, m[0]);
     }
 }
 
@@ -288,7 +273,7 @@ mod proptests {
                 for (i, &node) in order.iter().enumerate() {
                     wire.extend(b.arrive(node));
                     while let Some(m) = wire.pop_front() {
-                        let (ms, eff) = b.deliver(m);
+                        let (ms, eff) = deliver(&mut b, m);
                         wire.extend(ms);
                         for e in eff {
                             let BarEffect::Passed { node, episode } = e;
@@ -326,7 +311,7 @@ mod tree_tests {
                 wire.push_back((m, 0));
             }
             while let Some((m, d)) = wire.pop_front() {
-                let (ms, eff) = b.deliver(m);
+                let (ms, eff) = deliver(b, m);
                 for m2 in ms {
                     messages += 1;
                     wire.push_back((m2, d + 1));

@@ -11,10 +11,11 @@
 //! — the O(n) behaviour of Table 3, versus the O(n²) invalidation storms of
 //! spin locks on a WBI protocol.
 //!
-//! This module is a *pure* protocol state machine: [`LockQueue::request`],
-//! [`LockQueue::release`] and [`LockQueue::deliver`] return the messages
-//! that would be placed on the interconnect, and the caller (the machine
-//! simulator, or a test harness) decides when each is delivered.
+//! This module is a *pure* protocol state machine: [`LockQueue::request`]
+//! and [`LockQueue::release`] return, and [`LockQueue::deliver_into`]
+//! appends to the caller's outbox, the messages that would be placed on
+//! the interconnect; the caller (the machine simulator, or a test
+//! harness) decides when each is delivered.
 //!
 //! ## Modelling choices for the elided transients
 //!
@@ -41,7 +42,7 @@ use std::collections::BTreeMap;
 
 use crate::addr::NodeId;
 use crate::line::LockField;
-use crate::msg::{Endpoint, Msg};
+use crate::msg::{Endpoint, Msg, Outbox};
 use crate::primitive::LockMode;
 
 /// Where the data accompanying a lock grant comes from.
@@ -98,6 +99,9 @@ pub enum CblKind {
 /// A CBL protocol message (block data rides along with grants and
 /// releases).
 pub type CblMsg = Msg<CblKind>;
+
+/// Where a [`LockQueue`] delivery puts its messages and effects.
+pub type CblOutbox = Outbox<CblKind, CblEffect>;
 
 /// Externally visible protocol effects, consumed by the machine simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,16 +163,17 @@ impl NodeLock {
 /// lock-line state. All methods are pure protocol transitions.
 ///
 /// ```
-/// use ssmp_core::cbl::{CblEffect, LockQueue};
+/// use ssmp_core::cbl::{CblEffect, CblOutbox, LockQueue};
 /// use ssmp_core::primitive::LockMode;
 ///
 /// let mut q = LockQueue::new(4);
+/// let mut out = CblOutbox::default();
 /// // node 3 requests; deliver the request and then the grant
-/// let mut wire: Vec<_> = q.request(3, LockMode::Write);
+/// let mut wire = q.request(3, LockMode::Write);
 /// while let Some(m) = wire.pop() {
-///     let (msgs, effects) = q.deliver(m);
-///     wire.extend(msgs);
-///     for e in effects {
+///     q.deliver_into(m, &mut out);
+///     wire.append(&mut out.msgs);
+///     for e in out.effects.drain(..) {
 ///         if let CblEffect::Granted { node, .. } = e {
 ///             assert_eq!(node, 3);
 ///         }
@@ -341,46 +346,35 @@ impl LockQueue {
         (msgs, effects)
     }
 
-    /// Delivers a protocol message at its destination and returns the
-    /// follow-on messages and effects.
-    pub fn deliver(&mut self, msg: CblMsg) -> (Vec<CblMsg>, Vec<CblEffect>) {
+    /// Delivers a protocol message at its destination, appending the
+    /// follow-on messages and effects to `out`.
+    pub fn deliver_into(&mut self, msg: CblMsg, out: &mut CblOutbox) {
         match msg.dst {
-            Endpoint::Dir => self.deliver_at_dir(msg),
-            Endpoint::Node(n) => self.deliver_at_node(n, msg),
+            Endpoint::Dir => self.deliver_at_dir(msg, out),
+            Endpoint::Node(n) => self.deliver_at_node(n, msg, out),
         }
     }
 
-    fn deliver_at_dir(&mut self, msg: CblMsg) -> (Vec<CblMsg>, Vec<CblEffect>) {
+    /// The Vec-returning form of [`LockQueue::deliver_into`]: delivers into a
+    /// fresh outbox and returns its messages and effects.
+    pub fn deliver(&mut self, msg: CblMsg) -> (Vec<CblMsg>, Vec<CblEffect>) {
+        Outbox::collect(|out| self.deliver_into(msg, out))
+    }
+
+    fn deliver_at_dir(&mut self, msg: CblMsg, out: &mut CblOutbox) {
         let Endpoint::Node(src) = msg.src else {
             panic!("directory received a message from itself: {msg:?}");
         };
+        let (dir, to_src) = (Endpoint::Dir, Endpoint::Node(src));
         match msg.kind {
-            CblKind::Request(mode) => match self.tail {
-                None => {
-                    self.tail = Some(src);
-                    (
-                        vec![Msg::data(
-                            Endpoint::Dir,
-                            Endpoint::Node(src),
-                            self.block_words,
-                            CblKind::GrantMem,
-                        )],
-                        vec![],
-                    )
-                }
+            CblKind::Request(mode) => match self.tail.replace(src) {
+                None => out.data(dir, to_src, self.block_words, CblKind::GrantMem),
                 Some(t) => {
-                    self.tail = Some(src);
-                    (
-                        vec![Msg::ctl(
-                            Endpoint::Dir,
-                            Endpoint::Node(t),
-                            CblKind::Forward {
-                                requester: src,
-                                mode,
-                            },
-                        )],
-                        vec![],
-                    )
+                    let fwd = CblKind::Forward {
+                        requester: src,
+                        mode,
+                    };
+                    out.ctl(dir, Endpoint::Node(t), fwd);
                 }
             },
             CblKind::Release { new_tail } => {
@@ -390,47 +384,32 @@ impl LockQueue {
                     // released before we did, but its Release reached the
                     // directory first): cascade-retire those too.
                     self.tail = new_tail;
-                    let mut out = vec![Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(src),
-                        CblKind::ReleaseAck,
-                    )];
-                    out.extend(self.retire_pending_tails());
-                    (out, vec![])
+                    out.ctl(dir, to_src, CblKind::ReleaseAck);
+                    self.retire_pending_tails(out);
                 } else {
                     // A forward towards `src` is in flight; defer until it
                     // bounces.
                     self.release_pending.insert(src, new_tail);
-                    (vec![], vec![])
                 }
             }
             CblKind::Bounce { requester, mode } => {
                 let Some(new_tail) = self.release_pending.remove(&src) else {
                     panic!("bounce from {src} with no pending release");
                 };
-                let mut out = vec![Msg::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    CblKind::ReleaseAck,
-                )];
+                out.ctl(dir, to_src, CblKind::ReleaseAck);
                 match new_tail {
                     // The releaser had predecessors: the bounced requester
                     // re-attaches behind the proposed new tail.
-                    Some(x) => out.push(Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(x),
-                        CblKind::Forward { requester, mode },
-                    )),
+                    Some(x) => {
+                        out.ctl(dir, Endpoint::Node(x), CblKind::Forward { requester, mode })
+                    }
                     // Queue drained: grant the bounced requester from
                     // memory (the release wrote the data back).
-                    None => out.push(Msg::data(
-                        Endpoint::Dir,
-                        Endpoint::Node(requester),
-                        self.block_words,
-                        CblKind::GrantMem,
-                    )),
+                    None => {
+                        let to = Endpoint::Node(requester);
+                        out.data(dir, to, self.block_words, CblKind::GrantMem);
+                    }
                 }
-                (out, vec![])
             }
             other => panic!("directory cannot handle {other:?}"),
         }
@@ -441,113 +420,64 @@ impl LockQueue {
     /// successor. This resolves the race where a chain of read holders
     /// release concurrently and their `Release` messages arrive at the
     /// directory out of chain order.
-    fn retire_pending_tails(&mut self) -> Vec<CblMsg> {
-        let mut out = Vec::new();
+    fn retire_pending_tails(&mut self, out: &mut CblOutbox) {
         while let Some(t) = self.tail {
-            match self.release_pending.remove(&t) {
-                Some(next_tail) => {
-                    self.tail = next_tail;
-                    out.push(Msg::ctl(
-                        Endpoint::Dir,
-                        Endpoint::Node(t),
-                        CblKind::ReleaseAck,
-                    ));
-                }
-                None => break,
-            }
+            let Some(next_tail) = self.release_pending.remove(&t) else {
+                break;
+            };
+            self.tail = next_tail;
+            out.ctl(Endpoint::Dir, Endpoint::Node(t), CblKind::ReleaseAck);
         }
-        out
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, msg: CblMsg) -> (Vec<CblMsg>, Vec<CblEffect>) {
+    fn deliver_at_node(&mut self, node: NodeId, msg: CblMsg, out: &mut CblOutbox) {
+        let me = Endpoint::Node(node);
         match msg.kind {
             CblKind::Forward { requester, mode } => {
                 let state = self.nodes.get(&node).map(|s| s.state);
-                match state {
-                    Some(LockField::Held(held_mode)) => {
-                        let share = held_mode.compatible(mode);
-                        {
-                            let entry = self.nodes.get_mut(&node).expect("checked");
-                            entry.next = Some(requester);
-                            entry.next_mode = Some(mode);
-                            entry.next_granted = share;
-                        }
-                        if let Some(rq) = self.nodes.get_mut(&requester) {
-                            rq.prev = Some(node);
-                        }
-                        if share {
-                            // Read–read: share immediately; data rides along.
-                            (
-                                vec![Msg::data(
-                                    Endpoint::Node(node),
-                                    Endpoint::Node(requester),
-                                    self.block_words,
-                                    CblKind::GrantChain,
-                                )],
-                                vec![],
-                            )
-                        } else {
-                            (
-                                vec![Msg::ctl(
-                                    Endpoint::Node(node),
-                                    Endpoint::Node(requester),
-                                    CblKind::Enqueued,
-                                )],
-                                vec![],
-                            )
-                        }
-                    }
-                    Some(LockField::Waiting(_)) => {
-                        {
-                            let entry = self.nodes.get_mut(&node).expect("checked");
-                            entry.next = Some(requester);
-                            entry.next_mode = Some(mode);
-                            entry.next_granted = false;
-                        }
-                        if let Some(rq) = self.nodes.get_mut(&requester) {
-                            rq.prev = Some(node);
-                        }
-                        (
-                            vec![Msg::ctl(
-                                Endpoint::Node(node),
-                                Endpoint::Node(requester),
-                                CblKind::Enqueued,
-                            )],
-                            vec![],
-                        )
-                    }
+                let share = match state {
+                    Some(LockField::Held(held_mode)) => held_mode.compatible(mode),
+                    Some(LockField::Waiting(_)) => false,
                     Some(LockField::ReleasePending) | None => {
                         // We released before the forward arrived: bounce it
                         // back to the directory.
-                        (
-                            vec![Msg::ctl(
-                                Endpoint::Node(node),
-                                Endpoint::Dir,
-                                CblKind::Bounce { requester, mode },
-                            )],
-                            vec![],
-                        )
+                        out.ctl(me, Endpoint::Dir, CblKind::Bounce { requester, mode });
+                        return;
                     }
                     Some(LockField::None) => panic!("forward at node with inactive lock field"),
+                };
+                let entry = self.nodes.get_mut(&node).expect("checked");
+                entry.next = Some(requester);
+                entry.next_mode = Some(mode);
+                entry.next_granted = share;
+                if let Some(rq) = self.nodes.get_mut(&requester) {
+                    rq.prev = Some(node);
+                }
+                let to = Endpoint::Node(requester);
+                if share {
+                    // Read–read: share immediately; data rides along.
+                    out.data(me, to, self.block_words, CblKind::GrantChain);
+                } else {
+                    out.ctl(me, to, CblKind::Enqueued);
                 }
             }
-            CblKind::GrantMem => self.grant_at(node, DataSource::Memory),
+            CblKind::GrantMem => self.grant_at(node, DataSource::Memory, out),
             CblKind::GrantChain => {
                 let Endpoint::Node(from) = msg.src else {
                     panic!("grant-chain from directory")
                 };
-                self.grant_at(node, DataSource::Node(from))
+                self.grant_at(node, DataSource::Node(from), out)
             }
             // Pointer updates were applied atomically at the initiating
             // event; these messages exist for cost accounting only.
-            CblKind::Enqueued | CblKind::SpliceNext | CblKind::SplicePrev => (vec![], vec![]),
+            CblKind::Enqueued | CblKind::SpliceNext | CblKind::SplicePrev => {}
             CblKind::ReleaseAck => {
                 let entry = self.nodes.remove(&node);
                 debug_assert!(
                     matches!(entry.map(|e| e.state), Some(LockField::ReleasePending)),
                     "release-ack at node not in ReleasePending"
                 );
-                (vec![], vec![CblEffect::ReleaseComplete { node }])
+                out.effect(CblEffect::ReleaseComplete { node });
             }
             other => panic!("node cannot handle {other:?}"),
         }
@@ -557,7 +487,7 @@ impl LockQueue {
     /// compatible read waiter is queued behind it, the grant propagates
     /// ("the lock release notification goes down the linked list until it
     /// meets a write-lock requester").
-    fn grant_at(&mut self, node: NodeId, data_from: DataSource) -> (Vec<CblMsg>, Vec<CblEffect>) {
+    fn grant_at(&mut self, node: NodeId, data_from: DataSource, out: &mut CblOutbox) {
         let entry = self
             .nodes
             .get_mut(&node)
@@ -570,12 +500,11 @@ impl LockQueue {
         let next_mode = entry.next_mode;
         let next_granted = entry.next_granted;
 
-        let mut msgs = Vec::new();
-        let effects = vec![CblEffect::Granted {
+        out.effect(CblEffect::Granted {
             node,
             mode,
             data_from,
-        }];
+        });
         if mode == LockMode::Read && next_mode == Some(LockMode::Read) && !next_granted {
             if let Some(q) = next {
                 if matches!(
@@ -586,16 +515,11 @@ impl LockQueue {
                         .get_mut(&node)
                         .expect("just updated")
                         .next_granted = true;
-                    msgs.push(Msg::data(
-                        Endpoint::Node(node),
-                        Endpoint::Node(q),
-                        self.block_words,
-                        CblKind::GrantChain,
-                    ));
+                    let (me, to) = (Endpoint::Node(node), Endpoint::Node(q));
+                    out.data(me, to, self.block_words, CblKind::GrantChain);
                 }
             }
         }
-        (msgs, effects)
     }
 
     /// Checks the mutual-exclusion invariant (valid at *all* times, even

@@ -2,9 +2,10 @@
 //!
 //! The paper's primary contribution, implemented as *pure protocol state
 //! machines* with no timing or event-engine dependency. Each protocol
-//! handler consumes a message (or a processor-issued primitive) and returns
-//! the set of messages it would put on the interconnect; the `ssmp-machine`
-//! crate assigns network timing and delivers them. This factoring makes
+//! handler consumes a message (or a processor-issued primitive) and yields
+//! the messages it would put on the interconnect — a delivery appends them
+//! to a caller-owned [`msg::Outbox`]; the `ssmp-machine` crate assigns
+//! network timing and delivers them. This factoring makes
 //! every transition unit-testable and lets property tests explore message
 //! interleavings directly.
 //!
@@ -12,7 +13,7 @@
 //!
 //! | Module | Paper section |
 //! |---|---|
-//! | [`msg`] | §4, Fig. 2 — one list mechanism over one network: the `Msg<K>` envelope (source, destination, size, kind) every controller shares |
+//! | [`msg`] | §4, Fig. 2 — one list mechanism over one network: the `Msg<K>` envelope (source, destination, size, kind) every controller shares, the `Outbox` a delivery fills, and the data lines' `CohEffect` vocabulary |
 //! | [`primitive`] | Table 1 — the `READ-LOCK`/`WRITE-LOCK` modes; §2 — NP-/CP-Synch classes |
 //! | [`line`](mod@line) | Fig. 2a — block data with word-granular merges; the CBL lock field |
 //! | [`lockcache`] | §4.3 — the small fully-associative lock cache |

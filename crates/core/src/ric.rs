@@ -24,7 +24,7 @@
 //! so a node always reads its own latest write.
 //!
 //! A member that leaves while an update push is in flight towards it simply
-//! drops the push ([`RicEffect::UpdateDropped`]); downstream members miss
+//! drops the push ([`CohEffect::UpdateDropped`]); downstream members miss
 //! that push. This is benign: memory is always up to date, and program
 //! correctness never depends on pushes (synchronization transfers data
 //! explicitly); pushes are a freshness optimisation.
@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 
 use crate::addr::NodeId;
 use crate::line::BlockData;
-use crate::msg::{Endpoint, Msg};
+use crate::msg::{CohEffect, Endpoint, Msg, Outbox};
 
 /// RIC protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,44 +79,8 @@ pub enum RicKind {
 /// update pushes).
 pub type RicMsg = Msg<RicKind>;
 
-/// Externally visible effects, consumed by the machine simulator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RicEffect {
-    /// Block data arrived at `node` in response to `READ-UPDATE` and is
-    /// installed as its copy, with the update bit set.
-    Filled {
-        /// Receiving node.
-        node: NodeId,
-    },
-    /// The node's global write `wid` is globally performed; retire the
-    /// write-buffer entry.
-    WriteDone {
-        /// Writing node.
-        node: NodeId,
-        /// Write-buffer id.
-        wid: u64,
-    },
-    /// A pushed update arrived at a member; its copy is refreshed if it
-    /// is valid with the update bit set.
-    UpdateApplied {
-        /// Receiving node.
-        node: NodeId,
-    },
-    /// A push arrived at a node that had left the list; dropped.
-    UpdateDropped {
-        /// The stale destination.
-        node: NodeId,
-    },
-    /// A `READ-GLOBAL` result.
-    ReadValue {
-        /// Requesting node.
-        node: NodeId,
-        /// Word offset.
-        word: u8,
-        /// Value read straight from memory.
-        value: u64,
-    },
-}
+/// Where an [`UpdateList`] delivery puts its messages and effects.
+pub type RicOutbox = Outbox<RicKind, CohEffect>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Member {
@@ -317,21 +281,28 @@ impl UpdateList {
         msgs
     }
 
-    /// Delivers a protocol message at its destination.
-    pub fn deliver(&mut self, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+    /// Delivers a protocol message at its destination, appending the
+    /// follow-on messages and effects to `out`.
+    pub fn deliver_into(&mut self, msg: RicMsg, out: &mut RicOutbox) {
         match msg.dst {
-            Endpoint::Dir => self.deliver_at_dir(msg),
-            Endpoint::Node(n) => self.deliver_at_node(n, msg),
+            Endpoint::Dir => self.deliver_at_dir(msg, out),
+            Endpoint::Node(n) => self.deliver_at_node(n, msg, out),
         }
     }
 
-    fn deliver_at_dir(&mut self, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+    /// The Vec-returning form of [`UpdateList::deliver_into`]: delivers into a
+    /// fresh outbox and returns its messages and effects.
+    pub fn deliver(&mut self, msg: RicMsg) -> (Vec<RicMsg>, Vec<CohEffect>) {
+        Outbox::collect(|out| self.deliver_into(msg, out))
+    }
+
+    fn deliver_at_dir(&mut self, msg: RicMsg, out: &mut RicOutbox) {
         let Endpoint::Node(src) = msg.src else {
             panic!("directory message from directory: {msg:?}");
         };
+        let to_src = Endpoint::Node(src);
         match msg.kind {
             RicKind::ReadUpdateReq => {
-                let mut msgs = Vec::new();
                 if !self.is_member(src) {
                     // Enroll at the head (cheapest insertion point: only the
                     // directory pointer and the old head's back pointer move).
@@ -345,26 +316,15 @@ impl UpdateList {
                     );
                     if let Some(h) = old_head {
                         self.members.get_mut(&h).expect("old head").prev = Some(src);
-                        msgs.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(h), RicKind::Splice));
+                        out.ctl(Endpoint::Dir, Endpoint::Node(h), RicKind::Splice);
                     }
                     self.head = Some(src);
                 }
-                msgs.push(Msg::data(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    self.block_words,
-                    RicKind::ReadReply,
-                ));
-                (msgs, vec![])
+                out.data(Endpoint::Dir, to_src, self.block_words, RicKind::ReadReply);
             }
-            RicKind::ReadGlobalReq { word } => (
-                vec![Msg::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::ReadGlobalReply { word },
-                )],
-                vec![],
-            ),
+            RicKind::ReadGlobalReq { word } => {
+                out.ctl(Endpoint::Dir, to_src, RicKind::ReadGlobalReply { word })
+            }
             RicKind::WriteGlobal { word, value, wid } => {
                 self.mem.set(word, value);
                 // The writer's latest store to the word is now in memory,
@@ -374,27 +334,18 @@ impl UpdateList {
                         c.dirty &= !(1 << word);
                     }
                 }
-                let mut msgs = vec![Msg::ctl(
-                    Endpoint::Dir,
-                    Endpoint::Node(src),
-                    RicKind::WriteAck { wid },
-                )];
+                out.ctl(Endpoint::Dir, to_src, RicKind::WriteAck { wid });
                 if let Some(h) = self.head {
-                    msgs.push(Msg::data(
-                        Endpoint::Dir,
-                        Endpoint::Node(h),
-                        self.block_words,
-                        RicKind::UpdatePush,
-                    ));
+                    let head = Endpoint::Node(h);
+                    out.data(Endpoint::Dir, head, self.block_words, RicKind::UpdatePush);
                 }
-                (msgs, vec![])
             }
-            RicKind::HeadChange => (vec![], vec![]), // applied atomically at leave()
+            RicKind::HeadChange => {} // applied atomically at leave()
             other => panic!("directory cannot handle {other:?}"),
         }
     }
 
-    fn deliver_at_node(&mut self, node: NodeId, msg: RicMsg) -> (Vec<RicMsg>, Vec<RicEffect>) {
+    fn deliver_at_node(&mut self, node: NodeId, msg: RicMsg, out: &mut RicOutbox) {
         match msg.kind {
             RicKind::ReadReply => {
                 // The update bit is set even if the node left the list
@@ -404,41 +355,31 @@ impl UpdateList {
                 c.refresh(&self.mem);
                 c.valid = true;
                 c.update = true;
-                (vec![], vec![RicEffect::Filled { node }])
+                let data = c.data.clone();
+                out.effect(CohEffect::FilledShared { node, data });
             }
-            RicKind::ReadGlobalReply { word } => (
-                vec![],
-                vec![RicEffect::ReadValue {
-                    node,
-                    word,
-                    value: self.mem.get(word),
-                }],
-            ),
-            RicKind::WriteAck { wid } => (vec![], vec![RicEffect::WriteDone { node, wid }]),
-            RicKind::UpdatePush => {
-                match self.members.get(&node) {
-                    Some(m) => {
-                        let mut msgs = Vec::new();
-                        if let Some(nx) = m.next {
-                            msgs.push(Msg::data(
-                                Endpoint::Node(node),
-                                Endpoint::Node(nx),
-                                self.block_words,
-                                RicKind::UpdatePush,
-                            ));
-                        }
-                        if let Some(c) = self.copies.get_mut(node) {
-                            if c.valid && c.update {
-                                c.refresh(&self.mem);
-                            }
-                        }
-                        (msgs, vec![RicEffect::UpdateApplied { node }])
+            RicKind::ReadGlobalReply { word } => {
+                let value = self.mem.get(word);
+                out.effect(CohEffect::ReadValue { node, word, value });
+            }
+            RicKind::WriteAck { wid } => out.effect(CohEffect::WriteDone { node, wid }),
+            RicKind::UpdatePush => match self.members.get(&node) {
+                Some(m) => {
+                    if let Some(nx) = m.next {
+                        let (me, next) = (Endpoint::Node(node), Endpoint::Node(nx));
+                        out.data(me, next, self.block_words, RicKind::UpdatePush);
                     }
-                    // Left the list while the push was in flight.
-                    None => (vec![], vec![RicEffect::UpdateDropped { node }]),
+                    if let Some(c) = self.copies.get_mut(node) {
+                        if c.valid && c.update {
+                            c.refresh(&self.mem);
+                        }
+                    }
+                    out.effect(CohEffect::UpdateApplied { node, word: 0 });
                 }
-            }
-            RicKind::Splice => (vec![], vec![]),
+                // Left the list while the push was in flight.
+                None => out.effect(CohEffect::UpdateDropped { node }),
+            },
+            RicKind::Splice => {}
             other => panic!("node cannot handle {other:?}"),
         }
     }
@@ -484,7 +425,7 @@ mod tests {
     struct Harness {
         u: UpdateList,
         wire: VecDeque<RicMsg>,
-        effects: Vec<RicEffect>,
+        effects: Vec<CohEffect>,
     }
 
     impl Harness {
@@ -552,7 +493,7 @@ mod tests {
             self.effects
                 .iter()
                 .filter_map(|e| match e {
-                    RicEffect::UpdateApplied { node, .. } => Some(*node),
+                    CohEffect::UpdateApplied { node, .. } => Some(*node),
                     _ => None,
                 })
                 .collect()
@@ -585,7 +526,7 @@ mod tests {
         assert!(h
             .effects
             .iter()
-            .any(|e| matches!(e, RicEffect::WriteDone { node: 7, wid: 0 })));
+            .any(|e| matches!(e, CohEffect::WriteDone { node: 7, wid: 0 })));
         // the members' copies are fresh
         for n in [0, 1, 2] {
             assert_eq!(h.u.cached(n, 1), Some(42));
@@ -600,7 +541,7 @@ mod tests {
         assert_eq!(h.effects.len(), 1);
         assert!(matches!(
             h.effects[0],
-            RicEffect::WriteDone { node: 0, wid: 3 }
+            CohEffect::WriteDone { node: 0, wid: 3 }
         ));
     }
 
@@ -646,7 +587,7 @@ mod tests {
         assert!(h
             .effects
             .iter()
-            .any(|e| matches!(e, RicEffect::UpdateDropped { node: 1 })));
+            .any(|e| matches!(e, CohEffect::UpdateDropped { node: 1 })));
         // memory still authoritative
         assert_eq!(h.u.mem().get(0), 7);
     }
@@ -661,7 +602,7 @@ mod tests {
         h.drain();
         assert!(h.effects.iter().any(|e| matches!(
             e,
-            RicEffect::ReadValue {
+            CohEffect::ReadValue {
                 node: 5,
                 word: 2,
                 value: 31

@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 
 use crate::addr::NodeId;
-use crate::msg::{Endpoint, Msg};
+use crate::msg::{Endpoint, Msg, Outbox};
 
 /// Semaphore protocol message kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,8 +93,9 @@ impl HwSemaphore {
         vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, SemKind::V)]
     }
 
-    /// Delivers a semaphore message.
-    pub fn deliver(&mut self, msg: SemMsg) -> (Vec<SemMsg>, Vec<SemEffect>) {
+    /// Delivers a semaphore message, appending the follow-on messages and
+    /// effects to `out`.
+    pub fn deliver_into(&mut self, msg: SemMsg, out: &mut Outbox<SemKind, SemEffect>) {
         match (msg.dst, msg.kind) {
             (Endpoint::Dir, SemKind::P) => {
                 let Endpoint::Node(src) = msg.src else {
@@ -103,36 +104,29 @@ impl HwSemaphore {
                 if self.count > 0 {
                     self.count -= 1;
                     self.grants += 1;
-                    (
-                        vec![Msg::ctl(Endpoint::Dir, Endpoint::Node(src), SemKind::Grant)],
-                        vec![],
-                    )
+                    out.ctl(Endpoint::Dir, msg.src, SemKind::Grant);
                 } else {
                     debug_assert!(
                         !self.waiters.contains(&src),
                         "node {src} blocked twice in P"
                     );
                     self.waiters.push_back(src);
-                    (vec![], vec![])
                 }
             }
             (Endpoint::Dir, SemKind::V) => {
-                let Endpoint::Node(src) = msg.src else {
-                    panic!("V from directory")
-                };
-                let mut out = vec![Msg::ctl(Endpoint::Dir, Endpoint::Node(src), SemKind::VAck)];
+                assert!(msg.src != Endpoint::Dir, "V from directory");
+                out.ctl(Endpoint::Dir, msg.src, SemKind::VAck);
                 match self.waiters.pop_front() {
                     // Hand the credit straight to the oldest waiter.
                     Some(w) => {
                         self.grants += 1;
-                        out.push(Msg::ctl(Endpoint::Dir, Endpoint::Node(w), SemKind::Grant));
+                        out.ctl(Endpoint::Dir, Endpoint::Node(w), SemKind::Grant);
                     }
                     None => self.count += 1,
                 }
-                (out, vec![])
             }
-            (Endpoint::Node(node), SemKind::Grant) => (vec![], vec![SemEffect::Acquired { node }]),
-            (Endpoint::Node(node), SemKind::VAck) => (vec![], vec![SemEffect::VDone { node }]),
+            (Endpoint::Node(node), SemKind::Grant) => out.effect(SemEffect::Acquired { node }),
+            (Endpoint::Node(node), SemKind::VAck) => out.effect(SemEffect::VDone { node }),
             other => panic!("semaphore cannot handle {other:?}"),
         }
     }
@@ -149,6 +143,12 @@ impl HwSemaphore {
         }
         Ok(())
     }
+}
+
+/// Delivers `m` into a fresh outbox (the tests' Vec-returning form).
+#[cfg(test)]
+fn deliver(s: &mut HwSemaphore, m: SemMsg) -> (Vec<SemMsg>, Vec<SemEffect>) {
+    Outbox::collect(|out| s.deliver_into(m, out))
 }
 
 #[cfg(test)]
@@ -185,7 +185,7 @@ mod tests {
 
         fn drain(&mut self) {
             while let Some(m) = self.wire.pop_front() {
-                let (ms, eff) = self.s.deliver(m);
+                let (ms, eff) = deliver(&mut self.s, m);
                 self.s.check().unwrap();
                 self.wire.extend(ms);
                 for e in eff {
@@ -291,7 +291,7 @@ mod proptests {
                     let before = s.waiting();
                     wire.extend(s.p(node));
                     while let Some(m) = wire.pop_front() {
-                        let (ms, eff) = s.deliver(m);
+                        let (ms, eff) = deliver(&mut s, m);
                         wire.extend(ms);
                         for e in eff {
                             if let SemEffect::Acquired { node } = e {
@@ -307,7 +307,7 @@ mod proptests {
                     v_count += 1;
                     wire.extend(s.v(node));
                     while let Some(m) = wire.pop_front() {
-                        let (ms, eff) = s.deliver(m);
+                        let (ms, eff) = deliver(&mut s, m);
                         wire.extend(ms);
                         for e in eff {
                             if let SemEffect::Acquired { node } = e {

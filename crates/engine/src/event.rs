@@ -1,29 +1,18 @@
-//! Time-ordered event queue with deterministic FIFO tie-breaking.
+//! The binary-heap event queue: the reference the timing wheel is
+//! property-checked against (`wheel::tests::prop_equivalent_to_heap`).
+//! The module is compiled for tests only; the machine's one scheduler is
+//! [`crate::WheelQueue`].
 //!
-//! The queue is the heart of the simulator: every hardware component
-//! (processor, cache, write buffer, memory module, network switch) advances
-//! by scheduling events for future cycles. Determinism requires that events
-//! scheduled for the *same* cycle pop in insertion order; a plain
-//! `BinaryHeap<(Cycle, E)>` would instead break ties on the payload's `Ord`,
-//! which is both semantically wrong and a subtle source of irreproducibility.
-//! We therefore pair every event with a monotonically increasing sequence
-//! number.
+//! Determinism requires that events scheduled for the *same* cycle pop in
+//! insertion order; a plain `BinaryHeap<(Cycle, E)>` would instead break
+//! ties on the payload's `Ord`, which is both semantically wrong and a
+//! subtle source of irreproducibility. We therefore pair every event with
+//! a monotonically increasing sequence number.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::Cycle;
-
-/// An event together with the cycle at which it fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scheduled<E> {
-    /// Cycle at which the event fires.
-    pub at: Cycle,
-    /// Insertion sequence number; breaks ties among events at the same cycle.
-    pub seq: u64,
-    /// The event payload.
-    pub event: E,
-}
+use crate::{Cycle, Scheduled};
 
 // The heap is a max-heap, so order is reversed: the *smallest* (at, seq)
 // must compare greatest.
@@ -54,7 +43,7 @@ impl<E> Eq for HeapEntry<E> {}
 #[derive(Debug)]
 struct HeapEntry<E>(Scheduled<E>);
 
-/// A deterministic discrete-event queue.
+/// A deterministic discrete-event queue on a binary heap.
 ///
 /// Events pop in nondecreasing `at` order; events with equal `at` pop in the
 /// order they were pushed. Popping an event advances [`EventQueue::now`] to
@@ -63,7 +52,7 @@ struct HeapEntry<E>(Scheduled<E>);
 /// keeps long experiment sweeps alive while still surfacing the bug under
 /// `cargo test`).
 #[derive(Debug)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     now: Cycle,
     next_seq: u64,

@@ -5,7 +5,7 @@
 //!
 //! The kernel is deliberately small and completely deterministic:
 //!
-//! * [`EventQueue`] — a time-ordered priority queue with FIFO tie-breaking,
+//! * [`WheelQueue`] — a timing-wheel event queue with FIFO tie-breaking,
 //!   so two events scheduled for the same cycle always pop in the order they
 //!   were pushed. This is what makes whole-machine simulations bit-for-bit
 //!   reproducible from a seed.
@@ -27,9 +27,9 @@
 //! # Example
 //!
 //! ```
-//! use ssmp_engine::{EventQueue, SimRng};
+//! use ssmp_engine::{SimRng, WheelQueue};
 //!
-//! let mut q = EventQueue::new();
+//! let mut q = WheelQueue::new(64);
 //! q.schedule(10, "fetch");
 //! q.schedule(5, "decode");
 //! assert_eq!(q.pop().unwrap().event, "decode");
@@ -41,7 +41,8 @@
 
 #![warn(missing_docs)]
 
-pub mod event;
+#[cfg(test)]
+mod event;
 pub mod idmap;
 pub mod json;
 pub mod rng;
@@ -51,7 +52,6 @@ pub mod trace;
 pub mod watchdog;
 pub mod wheel;
 
-pub use event::{EventQueue, Scheduled};
 pub use idmap::IdMap;
 pub use json::{Json, JsonError};
 pub use rng::SimRng;
@@ -62,7 +62,7 @@ pub use trace::{
     TraceRing, TraceSink, Tracer,
 };
 pub use watchdog::{Watchdog, WatchdogVerdict};
-pub use wheel::WheelQueue;
+pub use wheel::{Scheduled, WheelQueue};
 
 /// Simulation time, in cache cycles.
 pub type Cycle = u64;

@@ -3,8 +3,9 @@
 //!
 //! Events within the wheel's horizon go into `buckets[time & mask]`; events
 //! beyond it wait in an overflow map that is drained as the wheel turns.
-//! Pop order is identical to [`crate::EventQueue`]: nondecreasing time,
-//! FIFO among equal times — verified by an equivalence property test.
+//! Pop order is nondecreasing time, FIFO among equal times — identical to
+//! a binary heap's, which an equivalence property test checks against the
+//! test-only heap queue in `event`.
 //!
 //! The hot path is kept O(1)-ish per operation:
 //!
@@ -22,13 +23,22 @@
 //!
 //! The wheel wins when event times are dense and near the current time
 //! (the common case for a machine simulator, where most events are a few
-//! cycles out); the heap wins on sparse, long-horizon schedules. The
-//! `micro` bench times the wheel under simulator-like load.
+//! cycles out); the heap wins on sparse, long-horizon schedules.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::event::Scheduled;
 use crate::Cycle;
+
+/// An event together with the cycle at which it fires.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scheduled<E> {
+    /// Cycle at which the event fires.
+    pub at: Cycle,
+    /// Insertion sequence number; breaks ties among events at the same cycle.
+    pub seq: u64,
+    /// The event payload.
+    pub event: E,
+}
 
 /// Sentinel for "overflow map is empty".
 const NO_OVERFLOW: Cycle = Cycle::MAX;
@@ -322,7 +332,7 @@ impl<E> WheelQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EventQueue;
+    use crate::event::EventQueue;
     use proptest::prelude::*;
 
     #[test]

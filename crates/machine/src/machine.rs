@@ -23,16 +23,16 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use ssmp_coherence::{
-    CohEffect, CohKind, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind, WbiBlock,
-    WbiKind,
+    CohEffect, CohKind, CohOutbox, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind,
+    WbiBlock, WbiKind,
 };
 use ssmp_core::addr::{BlockId, NodeId};
 use ssmp_core::barrier::{BarEffect, BarKind, HwBarrier};
-use ssmp_core::cbl::{CblEffect, CblKind, LockQueue};
+use ssmp_core::cbl::{CblEffect, CblKind, CblOutbox, LockQueue};
 use ssmp_core::line::BlockData;
-use ssmp_core::msg::{Endpoint, Msg};
+use ssmp_core::msg::{Endpoint, Msg, Outbox};
 use ssmp_core::primitive::{AccessClass, LockMode};
-use ssmp_core::ric::{RicEffect, RicKind, UpdateList};
+use ssmp_core::ric::{RicKind, RicOutbox, UpdateList};
 use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind};
 use ssmp_core::wbuf::Enqueue;
 use ssmp_engine::trace::{Family, Kind, TraceEvent, Tracer};
@@ -139,6 +139,18 @@ enum Line {
     Lock(LockId),
     /// The software barrier's release flag.
     Flag,
+}
+
+/// The controllers' reused delivery outboxes, one per family. A delivery
+/// takes its family's and puts it back drained (deliveries never nest),
+/// so no delivery allocates once the buffers are warm.
+#[derive(Default)]
+struct Outboxes {
+    cbl: CblOutbox,
+    ric: RicOutbox,
+    coh: CohOutbox,
+    bar: Outbox<BarKind, BarEffect>,
+    sem: Outbox<SemKind, SemEffect>,
 }
 
 /// Horizon of the timing wheel, in one-cycle slots. Most events land a few
@@ -250,6 +262,7 @@ pub struct Machine {
     check: Option<ssmp_check::SharedChecker>,
     /// Interval gauge sampler (`Some` when `cfg.metrics_interval` is set).
     metrics: Option<MetricsState>,
+    out: Outboxes,
 }
 
 /// Lazy interval sampler: gauges are read every `interval` cycles as the
@@ -353,8 +366,8 @@ impl MachineBuilder {
     /// set) and the folded [`ssmp_profile::Profile`] lands in
     /// [`Report::profile`]. Profiling, like tracing, is a pure observer.
     ///
-    /// Note: if a tracer with a restrictive [`TraceFilter`] is also
-    /// attached, the profile only sees the filtered stream and its
+    /// Note: if a tracer with a restrictive [`ssmp_engine::TraceFilter`]
+    /// is also attached, the profile only sees the filtered stream and its
     /// attribution will be incomplete — combine profiling with an
     /// all-admitting filter.
     pub fn profile(mut self, on: bool) -> Self {
@@ -555,6 +568,7 @@ impl Machine {
                 }
             }),
             events: WheelQueue::new(WHEEL_SLOTS),
+            out: Outboxes::default(),
             cfg,
         })
     }
@@ -1192,9 +1206,14 @@ impl Machine {
         }
     }
 
-    /// Routes every message a controller returned, each wrapped with its
+    /// Routes every message a controller sent, each wrapped with its
     /// routing context by `body`.
-    fn route_all<K: Copy>(&mut self, depart: Cycle, msgs: Vec<Msg<K>>, body: impl Fn(K) -> Body) {
+    fn route_all<K: Copy>(
+        &mut self,
+        depart: Cycle,
+        msgs: impl IntoIterator<Item = Msg<K>>,
+        body: impl Fn(K) -> Body,
+    ) {
         for m in msgs {
             self.route(depart, m.with_kind(body(m.kind)));
         }
@@ -1279,10 +1298,10 @@ impl Machine {
             });
         }
         // Process at the destination; outgoing messages depart after the
-        // local processing time. Each arm applies its effects and then
-        // routes the outgoing messages directly — no intermediate
-        // `Vec<Proto>` per delivery. Private-data traffic is serviced
-        // directly at the memory module, with no protocol controller.
+        // local processing time. Each arm delivers into its family's
+        // reused outbox, applies the effects, then routes the messages.
+        // Private-data traffic is serviced directly at the memory module,
+        // with no protocol controller.
         match p.kind {
             Body::PrivReq { home } => {
                 let t = self.mems[home].service(now, self.cfg.mem.data_cost());
@@ -1315,8 +1334,9 @@ impl Machine {
                     }
                 }
                 let depth_before = self.tracer.is_on().then(|| self.cbl[lock].waiters().len());
-                let (msgs, effects) = self.cbl[lock].deliver(p.with_kind(kind));
-                let t_done = self.processing_done(&p, &msgs, now);
+                let mut out = std::mem::take(&mut self.out.cbl);
+                self.cbl[lock].deliver_into(p.with_kind(kind), &mut out);
+                let t_done = self.processing_done(&p, &out.msgs, now);
                 if let Some(before) = depth_before {
                     let after = self.cbl[lock].waiters().len();
                     if after != before {
@@ -1331,21 +1351,33 @@ impl Machine {
                         });
                     }
                 }
-                self.apply_cbl_effects(lock, &effects, t_done);
-                self.route_all(t_done, msgs, |kind| Body::Cbl { lock, kind });
+                self.apply_cbl_effects(lock, &mut out.effects, t_done);
+                self.route_all(t_done, out.msgs.drain(..), |kind| Body::Cbl { lock, kind });
+                self.out.cbl = out;
             }
             Body::Ric { block, kind } => {
                 let len_before = self.tracer.is_on().then(|| self.ric[block].len());
-                let (msgs, effects) = self.ric[block].deliver(p.with_kind(kind));
-                let t_done = self.processing_done(&p, &msgs, now);
+                let mut out = std::mem::take(&mut self.out.ric);
+                self.ric[block].deliver_into(p.with_kind(kind), &mut out);
+                let t_done = self.processing_done(&p, &out.msgs, now);
                 self.emit_ric_len_change(block, len_before, t_done);
-                self.apply_ric_effects(block, effects, t_done);
-                self.route_all(t_done, msgs, |kind| Body::Ric { block, kind });
+                self.apply_coh_effects(block, &mut out.effects, t_done);
+                if let Some(c) = &self.check {
+                    let list = self.ric[block].check_list();
+                    c.borrow_mut().structural("ric.list", t_done, list);
+                }
+                #[cfg(debug_assertions)]
+                if let Err(e) = self.ric[block].check_list() {
+                    panic!("RIC invariant violated on block {block}: {e}");
+                }
+                self.route_all(t_done, out.msgs.drain(..), |kind| Body::Ric { block, kind });
+                self.out.ric = out;
             }
             Body::Coh { line, kind } => {
-                let (msgs, effects) = self.coh[line].deliver(p.with_kind(kind));
-                let t_done = self.processing_done(&p, &msgs, now);
-                self.apply_coh_effects(line, effects, t_done);
+                let mut out = std::mem::take(&mut self.out.coh);
+                self.coh[line].deliver_into(p.with_kind(kind), &mut out);
+                let t_done = self.processing_done(&p, &out.msgs, now);
+                self.apply_coh_effects(line, &mut out.effects, t_done);
                 if let Some(c) = &self.check {
                     c.borrow_mut().structural(
                         self.coh[line].swmr_invariant(),
@@ -1353,24 +1385,27 @@ impl Machine {
                         self.coh[line].check_single_writer(),
                     );
                 }
-                self.route_all(t_done, msgs, |kind| Body::Coh { line, kind });
+                self.route_all(t_done, out.msgs.drain(..), |kind| Body::Coh { line, kind });
+                self.out.coh = out;
             }
             Body::Bar(kind) => {
-                let (msgs, effects) = self.hwbar.deliver(p.with_kind(kind));
-                let t_done = self.processing_done(&p, &msgs, now);
-                for e in effects {
-                    let BarEffect::Passed { node, .. } = e;
+                let mut out = std::mem::take(&mut self.out.bar);
+                self.hwbar.deliver_into(p.with_kind(kind), &mut out);
+                let t_done = self.processing_done(&p, &out.msgs, now);
+                for BarEffect::Passed { node, .. } in out.effects.drain(..) {
                     self.counters.bump_id(CounterId::BarrierHwPassed);
                     if self.nodes[node].waiting == Waiting::BarrierPass {
                         self.resume_from(node, Waiting::BarrierPass, t_done);
                     }
                 }
-                self.route_all(t_done, msgs, Body::Bar);
+                self.route_all(t_done, out.msgs.drain(..), Body::Bar);
+                self.out.bar = out;
             }
             Body::Sem { sem, kind } => {
-                let (msgs, effects) = self.sems[sem].deliver(p.with_kind(kind));
-                let t_done = self.processing_done(&p, &msgs, now);
-                for e in effects {
+                let mut out = std::mem::take(&mut self.out.sem);
+                self.sems[sem].deliver_into(p.with_kind(kind), &mut out);
+                let t_done = self.processing_done(&p, &out.msgs, now);
+                for e in out.effects.drain(..) {
                     match e {
                         SemEffect::Acquired { node } => {
                             self.counters.bump_id(CounterId::SemAcquired);
@@ -1385,7 +1420,8 @@ impl Machine {
                         }
                     }
                 }
-                self.route_all(t_done, msgs, |kind| Body::Sem { sem, kind });
+                self.route_all(t_done, out.msgs.drain(..), |kind| Body::Sem { sem, kind });
+                self.out.sem = out;
             }
         }
     }
@@ -1606,8 +1642,9 @@ impl Machine {
         self.nodes[node].unstall(now);
     }
 
-    fn apply_cbl_effects(&mut self, lock: LockId, effects: &[CblEffect], t: Cycle) {
-        for &e in effects {
+    /// Applies (and drains) the effects a lock queue reported.
+    fn apply_cbl_effects(&mut self, lock: LockId, effects: &mut Vec<CblEffect>, t: Cycle) {
+        for e in effects.drain(..) {
             match e {
                 CblEffect::Granted { node, mode, .. } => {
                     self.counters.bump_id(CounterId::LockCblGranted);
@@ -1683,102 +1720,6 @@ impl Machine {
         }
     }
 
-    fn apply_ric_effects(&mut self, block: BlockId, effects: Vec<RicEffect>, t: Cycle) {
-        for e in effects {
-            match e {
-                RicEffect::Filled { node } => {
-                    if let Some(addr) = self.nodes[node].pending_record.take() {
-                        if addr.block == block {
-                            let v = self.ric[block].cached(node, addr.word);
-                            self.record_read(node, addr, v.expect("a fill installs a valid copy"));
-                        } else {
-                            self.nodes[node].pending_record = Some(addr);
-                        }
-                    }
-                    if self.nodes[node].waiting == Waiting::Fill {
-                        self.resume_from(node, Waiting::Fill, t);
-                    }
-                }
-                RicEffect::WriteDone { node, wid } => {
-                    let txn = self.nodes[node].wbuf.txn_of(wid);
-                    let acked = self.nodes[node].wbuf.ack(wid);
-                    debug_assert!(acked, "write-ack for unknown wid");
-                    self.wbuf_msgs[node].remove(&wid);
-                    self.counters.bump_id(CounterId::WbufAcked);
-                    if self.tracer.is_on() {
-                        self.tracer.emit(TraceEvent {
-                            cycle: t,
-                            node: node as i64,
-                            family: Family::Node,
-                            kind: Kind::Queue,
-                            detail: "wbuf.ack",
-                            id: wid,
-                            arg: self.nodes[node].wbuf.pending() as u64,
-                        });
-                        if txn != 0 {
-                            let begin = self.wbuf_begin.remove(&txn).unwrap_or(t);
-                            self.tracer.emit(TraceEvent {
-                                cycle: t,
-                                node: node as i64,
-                                family: Family::Node,
-                                kind: Kind::SpanEnd,
-                                detail: "wbuf.write",
-                                id: txn,
-                                arg: t.saturating_sub(begin),
-                            });
-                        }
-                    }
-                    if self.nodes[node].wbuf.is_drained()
-                        && self.nodes[node].waiting == Waiting::Flush
-                    {
-                        self.flush_done(node, t);
-                    }
-                }
-                RicEffect::UpdateApplied { node } => {
-                    self.counters.bump_id(CounterId::RicUpdateApplied);
-                    self.trace_access(t, node as i64, Family::Ric, "update.apply", block, 0);
-                }
-                RicEffect::UpdateDropped { .. } => {
-                    self.counters.bump_id(CounterId::RicUpdateDropped);
-                }
-                RicEffect::ReadValue { node, word, value } => {
-                    if let Some(addr) = self.nodes[node].pending_record.take() {
-                        if addr.block == block && addr.word == word {
-                            self.record_read(node, addr, value);
-                        } else {
-                            self.nodes[node].pending_record = Some(addr);
-                        }
-                    }
-                    if let Some((addr, target)) = self.nodes[node].spin_global {
-                        if addr.block == block && addr.word == word {
-                            if value == target {
-                                self.nodes[node].spin_global = None;
-                                self.resume_from(node, Waiting::Fill, t);
-                            } else {
-                                // re-poll after a cycle
-                                self.unstall_node(node, t);
-                                self.stall_node_tagged(node, Waiting::Timer, t, "timer.flag");
-                                self.events.schedule(t + 1, Ev::Retry(node));
-                            }
-                            continue;
-                        }
-                    }
-                    if self.nodes[node].waiting == Waiting::Fill {
-                        self.resume_from(node, Waiting::Fill, t);
-                    }
-                }
-            }
-        }
-        if let Some(c) = &self.check {
-            c.borrow_mut()
-                .structural("ric.list", t, self.ric[block].check_list());
-        }
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.ric[block].check_list() {
-            panic!("RIC invariant violated on block {block}: {e}");
-        }
-    }
-
     /// Trace family of the configured shared-data scheme.
     fn data_family(&self) -> Family {
         match self.cfg.data {
@@ -1789,13 +1730,14 @@ impl Machine {
         }
     }
 
-    /// Applies the effects a line's coherence backend emitted while
-    /// processing a delivery. Lock and flag lines wake their TTS and
+    /// Applies (and drains) the effects a data-line controller (any of
+    /// the four backends, RIC included) or a lock or flag line emitted
+    /// while processing a delivery. Lock and flag lines wake their TTS and
     /// barrier waiters; only data lines feed the read log, the value
     /// oracle and the access heatmap.
-    fn apply_coh_effects(&mut self, line: usize, effects: Vec<CohEffect>, t: Cycle) {
+    fn apply_coh_effects(&mut self, line: usize, effects: &mut Vec<CohEffect>, t: Cycle) {
         let kind = self.line(line);
-        for e in effects {
+        for e in effects.drain(..) {
             match e {
                 CohEffect::FilledShared { node, ref data } => {
                     if let Line::Data(block) = kind {
@@ -1876,14 +1818,18 @@ impl Machine {
                     };
                     self.counters.bump_id(ctr);
                 }
-                // The remaining effects come from Dragon, which only ever
-                // runs data lines, so `line` is the block id.
+                // The remaining effects come from Dragon and RIC, which
+                // only ever run data lines, so `line` is the block id.
                 CohEffect::UpdateApplied { node, word } => {
-                    // A Dragon multicast landed a fresh word in `node`'s
-                    // copy in place — the update-protocol counterpart of an
-                    // invalidation, and the heatmap signal that separates
-                    // update from invalidate false-sharing behavior.
-                    self.counters.bump_id(CounterId::DragonUpdateApplied);
+                    // A Dragon multicast or a RIC push landed fresh data in
+                    // `node`'s copy in place — the update-protocol
+                    // counterpart of an invalidation, and the heatmap signal
+                    // that separates update from invalidate false-sharing
+                    // behavior.
+                    self.counters.bump_id(match self.cfg.data {
+                        DataScheme::Ric => CounterId::RicUpdateApplied,
+                        _ => CounterId::DragonUpdateApplied,
+                    });
                     let fam = self.data_family();
                     self.trace_access(t, node as i64, fam, "update.apply", line, word);
                 }
@@ -1904,6 +1850,70 @@ impl Machine {
                     } else if self.nodes[node].waiting == Waiting::Fill {
                         self.resume_from(node, Waiting::Fill, t);
                     }
+                }
+                CohEffect::WriteDone { node, wid } => {
+                    let txn = self.nodes[node].wbuf.txn_of(wid);
+                    let acked = self.nodes[node].wbuf.ack(wid);
+                    debug_assert!(acked, "write-ack for unknown wid");
+                    self.wbuf_msgs[node].remove(&wid);
+                    self.counters.bump_id(CounterId::WbufAcked);
+                    if self.tracer.is_on() {
+                        self.tracer.emit(TraceEvent {
+                            cycle: t,
+                            node: node as i64,
+                            family: Family::Node,
+                            kind: Kind::Queue,
+                            detail: "wbuf.ack",
+                            id: wid,
+                            arg: self.nodes[node].wbuf.pending() as u64,
+                        });
+                        if txn != 0 {
+                            let begin = self.wbuf_begin.remove(&txn).unwrap_or(t);
+                            self.tracer.emit(TraceEvent {
+                                cycle: t,
+                                node: node as i64,
+                                family: Family::Node,
+                                kind: Kind::SpanEnd,
+                                detail: "wbuf.write",
+                                id: txn,
+                                arg: t.saturating_sub(begin),
+                            });
+                        }
+                    }
+                    if self.nodes[node].wbuf.is_drained()
+                        && self.nodes[node].waiting == Waiting::Flush
+                    {
+                        self.flush_done(node, t);
+                    }
+                }
+                CohEffect::ReadValue { node, word, value } => {
+                    if let Some(addr) = self.nodes[node].pending_record.take() {
+                        if addr.block == line && addr.word == word {
+                            self.record_read(node, addr, value);
+                        } else {
+                            self.nodes[node].pending_record = Some(addr);
+                        }
+                    }
+                    if let Some((addr, target)) = self.nodes[node].spin_global {
+                        if addr.block == line && addr.word == word {
+                            if value == target {
+                                self.nodes[node].spin_global = None;
+                                self.resume_from(node, Waiting::Fill, t);
+                            } else {
+                                // re-poll after a cycle
+                                self.unstall_node(node, t);
+                                self.stall_node_tagged(node, Waiting::Timer, t, "timer.flag");
+                                self.events.schedule(t + 1, Ev::Retry(node));
+                            }
+                            continue;
+                        }
+                    }
+                    if self.nodes[node].waiting == Waiting::Fill {
+                        self.resume_from(node, Waiting::Fill, t);
+                    }
+                }
+                CohEffect::UpdateDropped { .. } => {
+                    self.counters.bump_id(CounterId::RicUpdateDropped);
                 }
             }
         }
@@ -2470,12 +2480,12 @@ impl Machine {
                 match self.cfg.locks {
                     LockScheme::Cbl => {
                         self.nodes[node].held_locks.remove(&lock);
-                        let (msgs, effects) = self.cbl[lock].release(node);
+                        let (msgs, mut effects) = self.cbl[lock].release(node);
                         self.route_all(now, msgs, |kind| Body::Cbl { lock, kind });
                         let immediate_done = effects
                             .iter()
                             .any(|e| matches!(e, CblEffect::ReleaseComplete { .. }));
-                        self.apply_cbl_effects(lock, &effects, now);
+                        self.apply_cbl_effects(lock, &mut effects, now);
                         if self.cfg.model.waits_for_synch_completion() && !immediate_done {
                             self.release_waiters.insert(lock, node);
                             self.stall_node(node, Waiting::ReleaseDone(lock), now);
@@ -3063,6 +3073,15 @@ mod tests {
         // event.
         assert!(std::mem::size_of::<Proto>() <= 80);
         assert!(std::mem::size_of::<Ev>() <= 88);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn data_effect_stays_within_88_bytes() {
+        // Every data-line delivery (RIC pushes included) reports through
+        // `CohEffect`; the RIC shapes must not widen the fill variants'
+        // inline block.
+        assert!(std::mem::size_of::<CohEffect>() <= 88);
     }
 
     #[test]

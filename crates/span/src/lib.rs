@@ -436,7 +436,10 @@ impl SpanSet {
 
     /// Replays a JSONL trace (one event object per line) through the
     /// fold. Blank lines are skipped; any malformed line aborts with its
-    /// line number.
+    /// line number, and so does a second `span-begin` of a transaction id
+    /// already seen: the machine never reuses one, so the file is
+    /// corrupt or concatenated (and re-opening a closed span would make
+    /// it its own critical-path parent).
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<SpanSet, String> {
         let mut s = SpanSet::new();
         for (i, line) in reader.lines().enumerate() {
@@ -446,6 +449,15 @@ impl SpanSet {
             }
             let doc = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
             let ev = parse_jsonl_event(&doc).map_err(|e| format!("line {}: {e}", i + 1))?;
+            if ev.kind == Kind::SpanBegin
+                && (s.open.contains_key(ev.id) || s.closed.contains_key(ev.id))
+            {
+                return Err(format!(
+                    "line {}: transaction {} begins a second time",
+                    i + 1,
+                    ev.id
+                ));
+            }
             s.fold_owned(&ev);
         }
         Ok(s)
@@ -507,7 +519,12 @@ impl SpanSet {
         };
         let mut chain = vec![tail];
         let mut cur = tail;
+        // A path visits each closed span at most once, so the walk is
+        // bounded even if a corrupt parent link forms a cycle.
         while let Some(p) = cur.path_parent.and_then(|p| self.closed.get(p)) {
+            if chain.len() == self.closed.len() {
+                break;
+            }
             chain.push(p);
             cur = p;
         }
@@ -1113,5 +1130,36 @@ mod tests {
         let err = SpanSet::from_jsonl(Cursor::new(bad)).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         assert!(SpanSet::from_jsonl(Cursor::new("\n\n")).unwrap() == SpanSet::new());
+    }
+
+    /// Transaction 5 opened and closed twice on one node: the machine
+    /// never reuses an id, so the reader names the second begin.
+    fn reused_txn() -> Vec<TraceEvent> {
+        let (n, s) = (Family::Node, "lock");
+        vec![
+            ev(0, 0, n, Kind::SpanBegin, s, 5, 0),
+            ev(10, 0, n, Kind::SpanEnd, s, 5, 10),
+            ev(20, 0, n, Kind::SpanBegin, s, 5, 0),
+            ev(30, 0, n, Kind::SpanEnd, s, 5, 10),
+        ]
+    }
+
+    #[test]
+    fn from_jsonl_rejects_a_reused_transaction_id() {
+        let jsonl: String = reused_txn().iter().map(|e| e.to_jsonl() + "\n").collect();
+        let err = SpanSet::from_jsonl(Cursor::new(jsonl)).unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+    }
+
+    #[test]
+    fn critical_path_walk_is_bounded_by_the_closed_spans() {
+        // Folded live, the reused id makes span 5 its own path parent;
+        // the walk must stop instead of looping.
+        let mut s = SpanSet::new();
+        for e in reused_txn() {
+            s.fold(&e);
+        }
+        assert_eq!(s.closed[5].path_parent, Some(5));
+        assert_eq!(s.critical_path().len(), s.closed.len());
     }
 }
