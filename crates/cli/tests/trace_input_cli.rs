@@ -1,11 +1,14 @@
 //! Bad trace input at the CLI boundary: the offline readers must answer a
-//! trace that repeats a transaction id with a diagnostic and exit code 2,
-//! promptly, never by looping until memory runs out.
+//! trace the machine could not have written with a diagnostic and exit
+//! code 2, promptly, never by looping until memory runs out or by reading
+//! a rounded number.
 //!
-//! The machine never reuses a span transaction id, so a repeated
-//! `span-begin` means a corrupt or concatenated file. Left unchecked, the
-//! second span of the id becomes its own critical-path parent and the
-//! path walk never ends.
+//! The machine never reuses a span transaction id or injects a wire
+//! twice, so a repeated `span-begin` or `net-inject` means a corrupt or
+//! concatenated file. Left unchecked, the second span of the id becomes
+//! its own critical-path parent and the path walk never ends, and a fold
+//! counts every event twice. It writes every number as an exact integer,
+//! so a sign, a fraction or an out-of-range value means the same.
 
 use std::io::Read;
 use std::path::PathBuf;
@@ -56,18 +59,15 @@ fn run_bounded(args: &[&str]) -> (Option<i32>, String) {
     (status.code(), err)
 }
 
-/// `spans` and `trace stats` both reject the file with exit 2, naming
-/// the line of the second `span-begin`.
-fn assert_rejected(path: &str, line: &str) {
-    for argv in [
-        &["spans", "--in", path][..],
-        &["trace", "stats", "--in", path],
-    ] {
+/// Every reader in `argvs` rejects the file with exit 2, and its
+/// diagnostic contains `names`.
+fn assert_rejected(argvs: &[&[&str]], names: &str) {
+    for argv in argvs {
         let (code, err) = run_bounded(argv);
         assert_eq!(code, Some(2), "ssmp-cli {argv:?}: {err}");
         assert!(
-            err.contains(&format!("{line}: transaction")),
-            "ssmp-cli {argv:?} did not name {line}: {err}"
+            err.contains(names),
+            "ssmp-cli {argv:?} did not say {names:?}: {err}"
         );
     }
 }
@@ -88,7 +88,13 @@ fn a_transaction_reopened_on_one_node_is_rejected() {
     ]
     .join("\n");
     std::fs::write(&p, trace + "\n").unwrap();
-    assert_rejected(&path, "line 3");
+    assert_rejected(
+        &[
+            &["spans", "--in", &path],
+            &["trace", "stats", "--in", &path],
+        ],
+        "line 3: transaction 5 begins a second time",
+    );
     std::fs::remove_file(p).ok();
 }
 
@@ -116,17 +122,50 @@ fn a_real_trace_concatenated_with_itself_is_rejected() {
         .expect("spawn ssmp-cli run");
     assert!(status.success());
     let text = std::fs::read_to_string(&once_p).unwrap();
-    // The first copy is a clean trace: it stitches and exits 0.
+    // The first copy is a clean trace: it stitches, folds and exits 0.
     assert_eq!(run_bounded(&["spans", "--in", &once]).0, Some(0));
+    assert_eq!(run_bounded(&["analyze", "--in", &once]).0, Some(0));
     let (twice_p, twice) = tmp("twice.jsonl");
     std::fs::write(&twice_p, text.repeat(2)).unwrap();
-    // The second copy's first span-begin reuses transaction 1.
-    let first_begin = text
+    // The second copy's first net-inject reuses wire 1 (before its first
+    // span-begin reuses transaction 1).
+    let first_inject = text
         .lines()
-        .position(|l| l.contains(r#""kind":"span-begin""#))
-        .expect("the trace opens a span");
-    let line = format!("line {}", text.lines().count() + first_begin + 1);
-    assert_rejected(&twice, &line);
+        .position(|l| l.contains(r#""kind":"net-inject""#))
+        .expect("the trace injects a wire");
+    let line = text.lines().count() + first_inject + 1;
+    assert_rejected(
+        &[
+            &["spans", "--in", &twice],
+            &["trace", "stats", "--in", &twice],
+            &["analyze", "--in", &twice],
+        ],
+        &format!("line {line}: wire 1 is injected a second time"),
+    );
     std::fs::remove_file(once_p).ok();
     std::fs::remove_file(twice_p).ok();
+}
+
+#[test]
+fn a_number_that_is_not_an_exact_integer_is_rejected() {
+    let (p, path) = tmp("inexact.jsonl");
+    std::fs::write(
+        &p,
+        concat!(
+            r#"{"cycle":-5,"node":0,"family":"node","kind":"issue","detail":"read","#,
+            r#""id":1.5,"arg":18446744073709551616}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let field = "field 'cycle' is not an unsigned 64-bit integer: -5";
+    assert_rejected(
+        &[&["trace", "stats", "--validate", "--in", &path]],
+        &format!("{path}:1: {field}"),
+    );
+    assert_rejected(
+        &[&["analyze", "--in", &path], &["spans", "--in", &path]],
+        &format!("line 1: {field}"),
+    );
+    std::fs::remove_file(p).ok();
 }

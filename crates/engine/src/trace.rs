@@ -21,11 +21,11 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Write};
 use std::rc::Rc;
 
 use crate::json::{escape, Json};
-use crate::Cycle;
+use crate::{Cycle, IdMap};
 
 /// Protocol family (or subsystem) an event belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -245,36 +245,26 @@ impl fmt::Display for TraceEvent {
 }
 
 /// Validates one parsed JSONL trace record against the event schema:
-/// required fields present, `family` and `kind` drawn from the known
-/// token sets. Used by `ssmp trace stats` (and CI) so the format cannot
-/// bit-rot silently.
+/// required fields present, `cycle`, `id` and `arg` exact unsigned
+/// integers, `node` an exact signed integer, `family` and `kind` drawn
+/// from the known token sets. Used by `ssmp trace stats` (and CI) so the
+/// format cannot bit-rot silently.
 pub fn validate_jsonl(doc: &Json) -> Result<(), String> {
-    for field in ["cycle", "node", "id", "arg"] {
-        let v = doc
-            .get(field)
-            .ok_or_else(|| format!("missing field '{field}'"))?;
-        if v.as_f64().is_none() {
-            return Err(format!("field '{field}' is not a number"));
-        }
+    parse_jsonl_event(doc).map(drop)
+}
+
+/// Reads integer field `field` exactly as the machine wrote it. A sign
+/// (on an unsigned type), a fraction, an exponent or a value out of
+/// `T`'s range is an error naming the field, never a rounded or clamped
+/// number.
+fn exact_int<T: std::str::FromStr>(doc: &Json, field: &str, what: &str) -> Result<T, String> {
+    match doc.get(field) {
+        None => Err(format!("missing field '{field}'")),
+        Some(Json::Num(tok)) => tok
+            .parse()
+            .map_err(|_| format!("field '{field}' is not {what}: {tok}")),
+        Some(_) => Err(format!("field '{field}' is not a number")),
     }
-    let fam = doc
-        .get("family")
-        .and_then(|v| v.as_str())
-        .ok_or("missing field 'family'")?;
-    if Family::from_token(fam).is_none() {
-        return Err(format!("unknown family '{fam}'"));
-    }
-    let kind = doc
-        .get("kind")
-        .and_then(|v| v.as_str())
-        .ok_or("missing field 'kind'")?;
-    if Kind::from_token(kind).is_none() {
-        return Err(format!("unknown event kind '{kind}'"));
-    }
-    if doc.get("detail").and_then(|v| v.as_str()).is_none() {
-        return Err("missing field 'detail'".into());
-    }
-    Ok(())
 }
 
 /// A parsed trace record with an owned `detail` string — the offline
@@ -312,28 +302,61 @@ impl From<&TraceEvent> for OwnedEvent {
     }
 }
 
-/// Parses one validated JSONL trace record into an [`OwnedEvent`]. Runs
-/// [`validate_jsonl`] first, so callers get schema errors and field
-/// extraction from one place (`ssmp trace stats --validate` and
-/// `ssmp analyze` share this).
+/// Parses one JSONL trace record into an [`OwnedEvent`], checking it
+/// against the schema [`validate_jsonl`] describes, so callers get schema
+/// errors and field extraction from one place (`ssmp trace stats
+/// --validate`, `ssmp analyze` and `ssmp spans` share this).
 pub fn parse_jsonl_event(doc: &Json) -> Result<OwnedEvent, String> {
-    validate_jsonl(doc)?;
-    let num = |field: &str| doc.get(field).and_then(|v| v.as_f64()).unwrap_or(0.0);
+    const UNSIGNED: &str = "an unsigned 64-bit integer";
+    let cycle = exact_int(doc, "cycle", UNSIGNED)?;
+    let node = exact_int(doc, "node", "a signed 64-bit integer")?;
+    let id = exact_int(doc, "id", UNSIGNED)?;
+    let arg = exact_int(doc, "arg", UNSIGNED)?;
+    let text = |field: &str| {
+        doc.get(field)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing field '{field}'"))
+    };
+    let family = text("family")?;
+    let family = Family::from_token(family).ok_or_else(|| format!("unknown family '{family}'"))?;
+    let kind = text("kind")?;
+    let kind = Kind::from_token(kind).ok_or_else(|| format!("unknown event kind '{kind}'"))?;
     Ok(OwnedEvent {
-        cycle: num("cycle") as Cycle,
-        node: num("node") as i64,
-        family: Family::from_token(doc.get("family").and_then(|v| v.as_str()).unwrap_or(""))
-            .ok_or("unknown family")?,
-        kind: Kind::from_token(doc.get("kind").and_then(|v| v.as_str()).unwrap_or(""))
-            .ok_or("unknown kind")?,
-        detail: doc
-            .get("detail")
-            .and_then(|v| v.as_str())
-            .unwrap_or("")
-            .to_string(),
-        id: num("id") as u64,
-        arg: num("arg") as u64,
+        cycle,
+        node,
+        family,
+        kind,
+        detail: text("detail")?.to_string(),
+        id,
+        arg,
     })
+}
+
+/// Reads a JSONL trace (one event object per line), handing each event
+/// to `fold`. Blank lines are skipped. A malformed line, a second
+/// `net-inject` of a wire id already read, or an error from `fold` aborts
+/// with the line number: the machine never injects a wire twice, so such
+/// a file is corrupt or concatenated, and folding it would count its
+/// events twice. The offline profile and span readers share this.
+pub fn read_jsonl<R: BufRead>(
+    reader: R,
+    mut fold: impl FnMut(&OwnedEvent) -> Result<(), String>,
+) -> Result<(), String> {
+    let mut injected = IdMap::new();
+    for (i, line) in reader.lines().enumerate() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let line = line.map_err(|e| at(e.to_string()))?;
+        if line.trim().is_empty() {
+            continue;
+        }
+        let doc = Json::parse(&line).map_err(|e| at(e.to_string()))?;
+        let ev = parse_jsonl_event(&doc).map_err(at)?;
+        if ev.kind == Kind::NetInject && injected.insert(ev.id, ()).is_some() {
+            return Err(at(format!("wire {} is injected a second time", ev.id)));
+        }
+        fold(&ev).map_err(at)?;
+    }
+    Ok(())
 }
 
 /// An event filter: `None` sets admit everything.
@@ -1003,6 +1026,78 @@ mod tests {
         assert_eq!(parsed, OwnedEvent::from(&orig));
         let bad = Json::parse(r#"{"cycle":1}"#).unwrap();
         assert!(parse_jsonl_event(&bad).is_err());
+    }
+
+    /// A record with `field` set to the raw number token `value`.
+    fn with_number(field: &str, value: &str) -> Json {
+        let mut doc = Json::parse(&ev(1, 0, Kind::Issue).to_jsonl()).unwrap();
+        if let Json::Obj(pairs) = &mut doc {
+            for (k, v) in pairs.iter_mut() {
+                if k == field {
+                    *v = Json::Num(value.to_string());
+                }
+            }
+        }
+        doc
+    }
+
+    #[test]
+    fn read_jsonl_rejects_a_reinjected_wire_and_names_fold_errors() {
+        let inject = |id| {
+            let e = TraceEvent {
+                id,
+                ..ev(5, 0, Kind::NetInject)
+            };
+            e.to_jsonl() + "\n"
+        };
+        // Far-apart ids land in the side map; the second u64::MAX is caught.
+        let text = [
+            inject(1),
+            inject(u64::MAX),
+            "\n".into(),
+            inject(2),
+            inject(u64::MAX),
+        ]
+        .concat();
+        let mut folded = 0;
+        let err = read_jsonl(text.as_bytes(), |_| {
+            folded += 1;
+            Ok(())
+        })
+        .unwrap_err();
+        assert_eq!(
+            err,
+            format!("line 5: wire {} is injected a second time", u64::MAX)
+        );
+        assert_eq!(folded, 3);
+        let err = read_jsonl(inject(3).as_bytes(), |_| Err("refused".into())).unwrap_err();
+        assert_eq!(err, "line 1: refused");
+    }
+
+    #[test]
+    fn integer_fields_must_be_exact() {
+        for field in ["cycle", "id", "arg"] {
+            for bad in ["-5", "1.5", "1e3", "18446744073709551616"] {
+                let err = parse_jsonl_event(&with_number(field, bad)).unwrap_err();
+                assert!(
+                    err.contains(&format!("field '{field}'")),
+                    "{field}={bad}: {err}"
+                );
+                assert!(validate_jsonl(&with_number(field, bad)).is_err());
+            }
+        }
+        for bad in ["1.5", "1e3", "-1.0", "9223372036854775808"] {
+            let err = parse_jsonl_event(&with_number("node", bad)).unwrap_err();
+            assert!(err.contains("field 'node'"), "node={bad}: {err}");
+        }
+        // 2^53 + 1 has no f64: it must come back exactly, not rounded.
+        let big = (1u64 << 53) + 1;
+        let ev = parse_jsonl_event(&with_number("id", &big.to_string())).unwrap();
+        assert_eq!(ev.id, big);
+        let ev = parse_jsonl_event(&with_number("arg", &u64::MAX.to_string())).unwrap();
+        assert_eq!(ev.arg, u64::MAX);
+        let ev = parse_jsonl_event(&with_number("node", "-1")).unwrap();
+        assert_eq!(ev.node, -1);
     }
 
     #[test]

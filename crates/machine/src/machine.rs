@@ -239,7 +239,8 @@ pub struct Machine {
     txn_ctr: u64,
     /// Wire id → owning span transaction. Consumed at delivery so the
     /// messages a delivery routes inherit the requester's transaction.
-    /// Lookup-only (never iterated): determinism-safe as a HashMap.
+    /// Filled and read only while the tracer is on. Lookup-only (never
+    /// iterated): determinism-safe as a HashMap.
     wire_txn: HashMap<u64, u64>,
     /// Transaction that caused the delivery currently being processed
     /// (0 = none); wires routed while it is set are linked to it.
@@ -1253,8 +1254,13 @@ impl Machine {
         // becomes the cause of every wire this delivery routes in turn —
         // replies, forwards, and fan-out inherit the requester's span.
         // The mapping is consumed on first arrival, so duplicate copies
-        // (dedup'd below) cannot re-link.
-        self.cause = self.wire_txn.remove(&id).unwrap_or(0);
+        // (dedup'd below) cannot re-link. Only a traced run links wires,
+        // so an untraced one skips the map.
+        self.cause = if self.tracer.is_on() {
+            self.wire_txn.remove(&id).unwrap_or(0)
+        } else {
+            0
+        };
         self.deliver_inner(id, p);
         self.cause = 0;
     }

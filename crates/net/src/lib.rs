@@ -8,7 +8,10 @@
 //! An Ω network for `n = 2^k` ports has `k` stages of `n/2` two-input/
 //! two-output switches, with a perfect-shuffle interconnection between
 //! stages. Routing is *destination-tag*: at stage `i` a packet exits on the
-//! switch output selected by bit `k-1-i` of the destination address.
+//! switch output selected by bit `k-1-i` of the destination address. With
+//! `r`-way switches ([`NetConfig::radix`], a power of two) a stage consumes
+//! the next `log2(r)` bits instead, so every stage's output port is a shift
+//! and a mask of the address, never a division.
 //!
 //! ## Contention model
 //!
@@ -50,6 +53,12 @@ pub enum NetError {
         /// The offending radix.
         radix: usize,
     },
+    /// The switch radix must be a power of two (each stage routes on a
+    /// bit field of the destination).
+    RadixNotPowerOfTwo {
+        /// The offending radix.
+        radix: usize,
+    },
     /// A network needs at least one port.
     NoPorts,
     /// The port count must be a power of the switch radix.
@@ -66,6 +75,9 @@ impl std::fmt::Display for NetError {
         match self {
             NetError::RadixTooSmall { radix } => {
                 write!(f, "switch radix must be at least 2, got {radix}")
+            }
+            NetError::RadixNotPowerOfTwo { radix } => {
+                write!(f, "switch radix must be a power of two, got {radix}")
             }
             NetError::NoPorts => write!(f, "network needs at least one port"),
             NetError::NotPowerOfRadix { ports, radix } => write!(

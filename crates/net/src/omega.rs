@@ -12,7 +12,8 @@ pub struct NetConfig {
     /// Cycles a switch output port is occupied per word of payload.
     pub word_cycles: Cycle,
     /// Switch radix (the paper uses two-way switches; higher radices trade
-    /// fewer stages for wider switches). Ports must be a power of this.
+    /// fewer stages for wider switches). Must be a power of two, and ports
+    /// must be a power of it.
     pub radix: usize,
 }
 
@@ -52,15 +53,20 @@ pub struct NetStats {
 ///
 /// The paper's network uses two-way switches (radix 2); higher radices
 /// trade fewer stages (lower latency) for wider switches — exposed for
-/// design-space exploration via [`OmegaNetwork::with_radix`].
+/// design-space exploration via [`OmegaNetwork::with_radix`]. The radix
+/// must be a power of two, so a destination digit is a bit field and each
+/// stage routes by shift and mask.
 #[derive(Debug, Clone)]
 pub struct OmegaNetwork {
     ports: usize,
     stages: u32,
     radix: usize,
+    /// `log2(radix)`: the destination bits one stage consumes.
+    digit_bits: u32,
     cfg: NetConfig,
-    /// `next_free[stage][port]`: earliest cycle the output port is idle.
-    next_free: Vec<Vec<Cycle>>,
+    /// Stage-major: `next_free[stage * ports + port]` is the earliest cycle
+    /// the output port is idle.
+    next_free: Vec<Cycle>,
     stats: NetStats,
 }
 
@@ -75,33 +81,31 @@ impl OmegaNetwork {
         Self::with_radix(ports, cfg.radix, cfg).expect("invalid network geometry")
     }
 
-    /// Creates a network of `radix`-way switches; `ports` must be a power
-    /// of `radix`.
+    /// Creates a network of `radix`-way switches; `radix` must be a power
+    /// of two and `ports` a power of `radix`.
     pub fn with_radix(ports: usize, radix: usize, cfg: NetConfig) -> Result<Self, NetError> {
         if radix < 2 {
             return Err(NetError::RadixTooSmall { radix });
         }
+        if !radix.is_power_of_two() {
+            return Err(NetError::RadixNotPowerOfTwo { radix });
+        }
         if ports < 1 {
             return Err(NetError::NoPorts);
         }
-        let mut stages = 0u32;
-        let mut p = 1usize;
-        while p < ports {
-            p = match p.checked_mul(radix) {
-                Some(next) => next,
-                None => return Err(NetError::NotPowerOfRadix { ports, radix }),
-            };
-            stages += 1;
-        }
-        if p != ports && ports != 1 {
+        let digit_bits = radix.trailing_zeros();
+        let port_bits = ports.trailing_zeros();
+        if !ports.is_power_of_two() || !port_bits.is_multiple_of(digit_bits) {
             return Err(NetError::NotPowerOfRadix { ports, radix });
         }
+        let stages = port_bits / digit_bits;
         Ok(Self {
             ports,
-            stages: if ports == 1 { 0 } else { stages },
+            stages,
             radix,
+            digit_bits,
             cfg,
-            next_free: vec![vec![0; ports]; if ports == 1 { 0 } else { stages as usize }],
+            next_free: vec![0; stages as usize * ports],
             stats: NetStats::default(),
         })
     }
@@ -116,7 +120,7 @@ impl OmegaNetwork {
         self.ports
     }
 
-    /// Number of switch stages (`log2(ports)`).
+    /// Number of switch stages (`log_radix(ports)`).
     pub fn stages(&self) -> u32 {
         self.stages
     }
@@ -154,14 +158,25 @@ impl OmegaNetwork {
     /// so conflict analysis over many packets reuses one allocation.
     pub fn route_into(&self, src: usize, dst: usize, hops: &mut Vec<(u32, usize)>) {
         assert!(src < self.ports && dst < self.ports);
-        let r = self.radix;
-        let mut addr = src;
         hops.clear();
-        for stage in 0..self.stages {
-            let digit = (dst / r.pow(self.stages - 1 - stage)) % r;
-            addr = (addr * r + digit) % self.ports;
-            hops.push((stage, addr));
-        }
+        hops.extend((0..self.stages).zip(self.output_ports(src, dst)));
+    }
+
+    /// The output port a packet from `src` to `dst` leaves each stage on,
+    /// first stage first. Destination-tag routing over a perfect shuffle:
+    /// each stage shifts the address up one digit and brings in the
+    /// destination's next digit, most significant first. The iterator
+    /// holds copies, not a borrow, so `send` can reserve ports while it
+    /// walks them.
+    fn output_ports(&self, src: usize, dst: usize) -> impl Iterator<Item = usize> {
+        let (bits, digit, mask) = (self.digit_bits, self.radix - 1, self.ports - 1);
+        let mut addr = src;
+        let mut shift = self.stages * bits;
+        (0..self.stages).map(move |_| {
+            shift -= bits;
+            addr = ((addr << bits) | ((dst >> shift) & digit)) & mask;
+            addr
+        })
     }
 
     /// Sends a packet of `words` payload words from port `src` to port `dst`,
@@ -178,13 +193,10 @@ impl OmegaNetwork {
             return depart;
         }
         let occupancy = words as Cycle * self.cfg.word_cycles;
-        let r = self.radix;
-        let mut addr = src;
         let mut head = depart; // time the packet header is ready to enter next stage
-        for stage in 0..self.stages {
-            let digit = (dst / r.pow(self.stages - 1 - stage)) % r;
-            addr = (addr * r + digit) % self.ports;
-            let port = &mut self.next_free[stage as usize][addr];
+        let route = self.output_ports(src, dst);
+        for (stage, addr) in self.next_free.chunks_exact_mut(self.ports).zip(route) {
+            let port = &mut stage[addr];
             let start = head.max(*port);
             head = start + self.cfg.switch_delay;
             *port = start + occupancy.max(self.cfg.switch_delay);
@@ -203,9 +215,7 @@ impl OmegaNetwork {
 
     /// Resets the reservation state and statistics (the topology persists).
     pub fn reset(&mut self) {
-        for stage in &mut self.next_free {
-            stage.iter_mut().for_each(|t| *t = 0);
-        }
+        self.next_free.fill(0);
         self.stats = NetStats::default();
     }
 }
@@ -467,12 +477,12 @@ mod radix_tests {
                 assert_eq!(hops.last().unwrap().1, d, "src={s} dst={d}");
             }
         }
-        let n = OmegaNetwork::with_radix(27, 3, NetConfig::default()).unwrap();
-        for s in 0..27 {
-            for d in 0..27 {
-                assert_eq!(n.route(s, d).last().unwrap().1, d);
-            }
-        }
+        // Every radix routes by shift and mask, so one that is not a
+        // power of two is refused rather than mis-routed.
+        assert_eq!(
+            OmegaNetwork::with_radix(27, 3, NetConfig::default()).unwrap_err(),
+            NetError::RadixNotPowerOfTwo { radix: 3 }
+        );
     }
 
     #[test]
@@ -501,6 +511,149 @@ mod radix_tests {
             for d in 0..32 {
                 assert_eq!(a.route(s, d), b.route(s, d));
             }
+        }
+    }
+}
+
+/// The shift-and-mask route and the flat port table, checked packet for
+/// packet against a division-based model with a nested port table.
+#[cfg(test)]
+mod reference_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The division-based Ω model: each stage's digit is
+    /// `dst / radix^(stages-1-stage) % radix`, the address is
+    /// `(addr * radix + digit) % ports`, and `next_free[stage][port]`
+    /// holds the reservations.
+    struct Reference {
+        ports: usize,
+        stages: u32,
+        radix: usize,
+        cfg: NetConfig,
+        next_free: Vec<Vec<Cycle>>,
+        stats: NetStats,
+    }
+
+    impl Reference {
+        fn new(radix: usize, stages: u32, cfg: NetConfig) -> Self {
+            let ports = radix.pow(stages);
+            Self {
+                ports,
+                stages,
+                radix,
+                cfg,
+                next_free: vec![vec![0; ports]; stages as usize],
+                stats: NetStats::default(),
+            }
+        }
+
+        fn route(&self, src: usize, dst: usize) -> Vec<(u32, usize)> {
+            let r = self.radix;
+            let mut addr = src;
+            let mut hops = Vec::new();
+            for stage in 0..self.stages {
+                let digit = (dst / r.pow(self.stages - 1 - stage)) % r;
+                addr = (addr * r + digit) % self.ports;
+                hops.push((stage, addr));
+            }
+            hops
+        }
+
+        fn uncontended_transit(&self, words: u32) -> Cycle {
+            if self.stages == 0 {
+                return 0;
+            }
+            self.stages as Cycle * self.cfg.switch_delay
+                + (words.max(1) as Cycle - 1) * self.cfg.word_cycles
+        }
+
+        fn send(&mut self, depart: Cycle, src: usize, dst: usize, words: u32) -> Cycle {
+            let words = words.max(1);
+            if src == dst || self.stages == 0 {
+                self.stats.packets += 1;
+                return depart;
+            }
+            let occupancy = words as Cycle * self.cfg.word_cycles;
+            let mut head = depart;
+            for (stage, addr) in self.route(src, dst) {
+                let port = &mut self.next_free[stage as usize][addr];
+                let start = head.max(*port);
+                head = start + self.cfg.switch_delay;
+                *port = start + occupancy.max(self.cfg.switch_delay);
+            }
+            let arrival = head + (words as Cycle - 1) * self.cfg.word_cycles;
+            self.stats.packets += 1;
+            self.stats.words += words as u64;
+            self.stats.total_transit += arrival - depart;
+            self.stats.total_queueing +=
+                (arrival - depart).saturating_sub(self.uncontended_transit(words));
+            self.stats.max_transit = self.stats.max_transit.max(arrival - depart);
+            arrival
+        }
+    }
+
+    /// Radix 2, 4 and 8 with up to 512 ports: `(radix, stages)`.
+    fn geometries() -> impl Iterator<Item = (usize, u32)> {
+        [(2usize, 9u32), (4, 4), (8, 3)]
+            .into_iter()
+            .flat_map(|(r, max)| (0..=max).map(move |k| (r, k)))
+    }
+
+    #[test]
+    fn every_route_matches_the_reference() {
+        let mut hops = Vec::new();
+        for (radix, stages) in geometries() {
+            let cfg = NetConfig {
+                radix,
+                ..NetConfig::default()
+            };
+            let reference = Reference::new(radix, stages, cfg);
+            let net = OmegaNetwork::with_radix(reference.ports, radix, cfg).unwrap();
+            assert_eq!(net.stages(), stages);
+            for src in 0..reference.ports {
+                for dst in 0..reference.ports {
+                    net.route_into(src, dst, &mut hops);
+                    assert_eq!(hops, reference.route(src, dst), "r={radix} {src}->{dst}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random packet streams with nondecreasing departures, as the
+        /// machine sends them, half of them to a hot spot at port 0 so
+        /// packets queue at every stage: equal arrivals and equal
+        /// statistics.
+        #[test]
+        fn send_matches_the_reference(
+            pick in 0usize..1000,
+            switch_delay in 1u64..4,
+            word_cycles in 1u64..4,
+            sends in proptest::collection::vec(
+                (0u64..3, 0usize..512, (proptest::bool::ANY, 0usize..512), 1u32..=5),
+                1..200,
+            ),
+        ) {
+            let all: Vec<_> = geometries().collect();
+            let (radix, stages) = all[pick % all.len()];
+            let cfg = NetConfig { switch_delay, word_cycles, radix };
+            let mut reference = Reference::new(radix, stages, cfg);
+            let ports = reference.ports;
+            let mut net = OmegaNetwork::with_radix(ports, radix, cfg).unwrap();
+            let mut depart = 0;
+            for (gap, src, (hot, dst), words) in sends {
+                depart += gap;
+                let (src, dst) = (src % ports, if hot { 0 } else { dst % ports });
+                prop_assert_eq!(
+                    net.send(depart, src, dst, words),
+                    reference.send(depart, src, dst, words),
+                    "{} -> {} at {}", src, dst, depart
+                );
+            }
+            prop_assert_eq!(net.stats(), reference.stats);
         }
     }
 }

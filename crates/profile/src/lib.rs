@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 use std::rc::Rc;
 
-use ssmp_engine::trace::{parse_jsonl_event, OwnedEvent};
+use ssmp_engine::trace::{read_jsonl, OwnedEvent};
 use ssmp_engine::{Cycle, Family, Histogram, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered profiles.
@@ -335,19 +335,14 @@ impl Profile {
     }
 
     /// Replays a JSONL trace (one event object per line) through the fold.
-    /// Blank lines are skipped; any malformed line aborts with its line
-    /// number.
+    /// Blank lines are skipped; a malformed line or a second `net-inject`
+    /// of one wire id aborts with its line number (see [`read_jsonl`]).
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<Profile, String> {
         let mut p = Profile::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let ev = parse_jsonl_event(&doc).map_err(|e| format!("line {}: {e}", i + 1))?;
-            p.fold_owned(&ev);
-        }
+        read_jsonl(reader, |ev| {
+            p.fold_owned(ev);
+            Ok(())
+        })?;
         Ok(p)
     }
 
@@ -859,6 +854,9 @@ mod tests {
             r#"{"cycle":1,"node":0,"family":"zzz","kind":"issue","detail":"x","id":0,"arg":0}"#;
         let err = Profile::from_jsonl(Cursor::new(bad)).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        let inject = ev(5, 0, Family::Cbl, Kind::NetInject, "msg.cbl.request", 7, 0).to_jsonl();
+        let err = Profile::from_jsonl(Cursor::new(format!("{inject}\n{inject}\n"))).unwrap_err();
+        assert_eq!(err, "line 2: wire 7 is injected a second time");
         assert!(Profile::from_jsonl(Cursor::new("\n\n")).unwrap() == Profile::new());
     }
 

@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use std::io::BufRead;
 use std::rc::Rc;
 
-use ssmp_engine::trace::{parse_jsonl_event, OwnedEvent};
+use ssmp_engine::trace::{read_jsonl, OwnedEvent};
 use ssmp_engine::{Cycle, Family, IdMap, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered span reports.
@@ -435,31 +435,23 @@ impl SpanSet {
     }
 
     /// Replays a JSONL trace (one event object per line) through the
-    /// fold. Blank lines are skipped; any malformed line aborts with its
-    /// line number, and so does a second `span-begin` of a transaction id
-    /// already seen: the machine never reuses one, so the file is
-    /// corrupt or concatenated (and re-opening a closed span would make
-    /// it its own critical-path parent).
+    /// fold. Blank lines are skipped; a malformed line, a second
+    /// `net-inject` of one wire id (see [`read_jsonl`]) or a second
+    /// `span-begin` of a transaction id already seen aborts with its line
+    /// number: the machine never reuses either id, so the file is corrupt
+    /// or concatenated (and re-opening a closed span would make it its
+    /// own critical-path parent).
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<SpanSet, String> {
         let mut s = SpanSet::new();
-        for (i, line) in reader.lines().enumerate() {
-            let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let doc = Json::parse(&line).map_err(|e| format!("line {}: {e}", i + 1))?;
-            let ev = parse_jsonl_event(&doc).map_err(|e| format!("line {}: {e}", i + 1))?;
+        read_jsonl(reader, |ev| {
             if ev.kind == Kind::SpanBegin
                 && (s.open.contains_key(ev.id) || s.closed.contains_key(ev.id))
             {
-                return Err(format!(
-                    "line {}: transaction {} begins a second time",
-                    i + 1,
-                    ev.id
-                ));
+                return Err(format!("transaction {} begins a second time", ev.id));
             }
-            s.fold_owned(&ev);
-        }
+            s.fold_owned(ev);
+            Ok(())
+        })?;
         Ok(s)
     }
 
@@ -840,16 +832,18 @@ mod tests {
     }
 
     /// A read miss: request wire out at 10, served at the directory,
-    /// fill wire back, delivered at 30, span 10→30.
+    /// fill wire back, delivered at 30, span 10→30. Its wires are 4 and 5,
+    /// clear of `handoff_events`' 1–3, so the two concatenate into a trace
+    /// with no wire injected twice.
     fn fill_events() -> Vec<TraceEvent> {
         vec![
-            ev(10, 0, Family::Ric, Kind::NetInject, "msg.ric.read", 1, 5),
+            ev(10, 0, Family::Ric, Kind::NetInject, "msg.ric.read", 4, 5),
             ev(10, 0, Family::Node, Kind::SpanBegin, "fill", 100, 0),
-            ev(10, 0, Family::Ric, Kind::Link, "wire", 1, 100),
-            ev(16, -1, Family::Ric, Kind::NetDeliver, "msg.ric.read", 1, 0),
-            ev(20, -1, Family::Ric, Kind::NetInject, "msg.ric.fill", 2, 0),
-            ev(20, -1, Family::Ric, Kind::Link, "wire", 2, 100),
-            ev(30, 0, Family::Ric, Kind::NetDeliver, "msg.ric.fill", 2, 0),
+            ev(10, 0, Family::Ric, Kind::Link, "wire", 4, 100),
+            ev(16, -1, Family::Ric, Kind::NetDeliver, "msg.ric.read", 4, 0),
+            ev(20, -1, Family::Ric, Kind::NetInject, "msg.ric.fill", 5, 0),
+            ev(20, -1, Family::Ric, Kind::Link, "wire", 5, 100),
+            ev(30, 0, Family::Ric, Kind::NetDeliver, "msg.ric.fill", 5, 0),
             ev(30, 0, Family::Node, Kind::SpanEnd, "fill", 100, 20),
         ]
     }
@@ -877,7 +871,7 @@ mod tests {
         for e in fill_events() {
             once.fold(&e);
             twice.fold(&e);
-            if e.kind == Kind::NetDeliver && e.id == 1 {
+            if e.kind == Kind::NetDeliver && e.id == 4 {
                 twice.fold(&TraceEvent { cycle: 18, ..e });
             }
         }
@@ -1129,6 +1123,11 @@ mod tests {
             r#"{"cycle":1,"node":0,"family":"zzz","kind":"issue","detail":"x","id":0,"arg":0}"#;
         let err = SpanSet::from_jsonl(Cursor::new(bad)).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
+        let mut events = fill_events();
+        events.push(events[0]);
+        let jsonl: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
+        let err = SpanSet::from_jsonl(Cursor::new(jsonl)).unwrap_err();
+        assert_eq!(err, "line 9: wire 4 is injected a second time");
         assert!(SpanSet::from_jsonl(Cursor::new("\n\n")).unwrap() == SpanSet::new());
     }
 
