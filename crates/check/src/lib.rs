@@ -23,11 +23,11 @@
 //!   updates legitimately let readers observe older writes).
 //!
 //! Violations become structured [`ViolationReport`]s carrying the last-K
-//! trace ring, mirroring the machine's `DeadlockReport`. The sanitizer is
-//! wired in as a [`TraceSink`] plus a handful of narrow state-exposure
-//! hooks, and is zero-cost when off: an unarmed machine never constructs a
-//! checker, and an armed run's report is byte-identical to an unarmed one
-//! whenever no invariant is violated.
+//! trace ring, mirroring the machine's `DeadlockReport`. The [`Checker`]
+//! is itself a [`TraceSink`], wired in alongside a handful of narrow
+//! state-exposure hooks, and is zero-cost when off: an unarmed machine
+//! never constructs a checker, and an armed run's report is
+//! byte-identical to an unarmed one whenever no invariant is violated.
 
 #![warn(missing_docs)]
 
@@ -121,8 +121,8 @@ impl fmt::Display for LineSummary {
     }
 }
 
-/// The reference oracle. Owned by the machine (shared with the
-/// [`CheckSink`] riding the tracer); trace events arrive through
+/// The reference oracle. Shared between the machine and its tracer (a
+/// [`SharedChecker`] is the sink); trace events arrive through
 /// [`Checker::fold`], protocol state through the named hook methods.
 #[derive(Debug, Default)]
 pub struct Checker {
@@ -170,7 +170,7 @@ impl Checker {
         before
     }
 
-    /// Folds one trace event into the oracle. Called by the [`CheckSink`]
+    /// Folds one trace event into the oracle. Called through the tracer
     /// for every event the machine emits.
     pub fn fold(&mut self, ev: &TraceEvent) {
         match ev.kind {
@@ -420,31 +420,13 @@ impl Checker {
 }
 
 /// Shared handle to a [`Checker`]: the machine folds state-exposure hooks
-/// into it while the [`CheckSink`] on the tracer folds the event stream.
+/// into it while the tracer, holding another handle as its sink, folds
+/// the event stream.
 pub type SharedChecker = Rc<RefCell<Checker>>;
 
-/// A [`TraceSink`] forwarding every event into a shared [`Checker`].
-pub struct CheckSink {
-    checker: SharedChecker,
-}
-
-impl CheckSink {
-    /// Creates a sink plus the shared oracle handle to read violations
-    /// from (and to feed the machine-side hooks).
-    pub fn new() -> (Self, SharedChecker) {
-        let checker: SharedChecker = Rc::new(RefCell::new(Checker::new()));
-        (
-            Self {
-                checker: checker.clone(),
-            },
-            checker,
-        )
-    }
-}
-
-impl TraceSink for CheckSink {
+impl TraceSink for Checker {
     fn record(&mut self, ev: &TraceEvent) {
-        self.checker.borrow_mut().fold(ev);
+        self.fold(ev);
     }
 }
 
@@ -582,7 +564,8 @@ mod tests {
 
     #[test]
     fn sink_feeds_shared_checker() {
-        let (mut sink, shared) = CheckSink::new();
+        let shared = SharedChecker::default();
+        let mut sink = shared.clone();
         sink.record(&ev(Kind::NetDeliver, "m", 0, 5, 0));
         assert_eq!(shared.borrow().violations().len(), 1);
     }

@@ -25,7 +25,6 @@ usage:
   ssmp analyze --in <trace.jsonl> [--top K] [--json] [--out <file>]
   ssmp spans   --in <trace.jsonl> [--top K] [--json] [--out <file>]
   ssmp diff  <a> <b> [--top K] [--json] [--out <file>] [--gate]
-             [--tolerance FRAC]
   ssmp program --file <prog.sasm> --config <cfg> [--sems c0,c1,...] [--json]
   ssmp fuzz  [--quick] [--jobs N] [--seeds K] [--seed S] [--out <repro.json>]
              [--workload wl[,wl...]] [--config cfg[,cfg...]] [--nodes N]
@@ -57,9 +56,8 @@ differential observability:
   percentile comparison, and a ranked top-movers summary. --json /
   --out emit the deterministic ssmp-diff-v1 document; --gate exits 1
   on policy violations (sweeps gate by key class: exact keys must
-  match, speedup sags past --tolerance fail, wall-clock keys are
-  informational; other kinds gate on strict identity). Either path may
-  be '-' for stdin.
+  match, wall-clock keys are informational; other kinds gate on strict
+  identity). Either path may be '-' for stdin.
 
 fault injection / robustness (run, sweep, trace replay, program):
   [--fault-seed S] [--drop-prob p] [--dup-prob p] [--delay-prob p]
@@ -153,7 +151,6 @@ const VALUED: &[&str] = &[
     "repro",
     "seeds",
     "planted-bug",
-    "tolerance",
     "diff-against",
 ];
 
@@ -989,10 +986,7 @@ fn sweep(f: &Flags) -> Result<(), String> {
             .map_err(|e| format!("--diff-against {base_path}: {e}"))?;
         let current = ssmp_diff::Artifact::parse(&sweep.to_json())
             .map_err(|e| format!("internal error: sweep artifact unparseable: {e}"))?;
-        let policy = ssmp_diff::DiffPolicy {
-            tolerance: f.num::<f64>("tolerance", 0.5)?,
-        };
-        let d = ssmp_diff::Diff::between(&base, &current, base_path, "this sweep", &policy)?;
+        let d = ssmp_diff::Diff::between(&base, &current, base_path, "this sweep")?;
         print!("{}", d.render(f.num::<usize>("top", 8)?));
         let violations = d.violations();
         if !violations.is_empty() {
@@ -1187,10 +1181,7 @@ fn diff(pos: &[String], f: &Flags) -> Result<(), String> {
         ssmp_diff::Artifact::parse(&read_input(a_path)?).map_err(|e| format!("{a_path}: {e}"))?;
     let b =
         ssmp_diff::Artifact::parse(&read_input(b_path)?).map_err(|e| format!("{b_path}: {e}"))?;
-    let policy = ssmp_diff::DiffPolicy {
-        tolerance: f.num::<f64>("tolerance", 0.5)?,
-    };
-    let d = ssmp_diff::Diff::between(&a, &b, a_path, b_path, &policy)?;
+    let d = ssmp_diff::Diff::between(&a, &b, a_path, b_path)?;
     if f.has("json") {
         println!("{}", d.to_json().render());
     } else {
@@ -1258,7 +1249,6 @@ fn spans(f: &Flags) -> Result<(), String> {
 /// Summarizes (and optionally validates) an event-trace file produced by
 /// `--trace`: JSONL (one event per line) or Chrome-trace/Perfetto JSON.
 fn trace_stats(f: &Flags) -> Result<(), String> {
-    use ssmp_engine::trace::validate_jsonl;
     use ssmp_engine::Json;
     use std::collections::BTreeMap;
     let path = f.require("in")?;
@@ -1317,35 +1307,25 @@ fn trace_stats(f: &Flags) -> Result<(), String> {
         }
         return Ok(());
     }
-    // JSONL: one event object per line.
+    // JSONL: one event object per line, read once. The shared reader
+    // validates every line, and the span stitcher folds alongside the
+    // counts so a truncated or filtered trace is diagnosed here before
+    // anyone trusts `ssmp spans` output built from it.
     let mut total = 0u64;
     let mut by_key: BTreeMap<String, u64> = BTreeMap::new();
     let mut first: Option<u64> = None;
     let mut last = 0u64;
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let doc = Json::parse(line).map_err(|e| format!("{path}:{}: invalid JSON: {e}", i + 1))?;
-        if validate {
-            validate_jsonl(&doc).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        }
+    let mut spans = ssmp_span::SpanSet::new();
+    ssmp_engine::trace::read_jsonl(text.as_bytes(), |ev| {
         total += 1;
-        let fam = doc.get("family").and_then(|v| v.as_str()).unwrap_or("?");
-        let kind = doc.get("kind").and_then(|v| v.as_str()).unwrap_or("?");
-        *by_key.entry(format!("{fam}/{kind}")).or_insert(0) += 1;
-        if let Some(c) = doc.get("cycle").and_then(|v| v.as_u64()) {
-            first = Some(first.map_or(c, |f| f.min(c)));
-            last = last.max(c);
-        }
-    }
-    // Span-stitching health: re-fold the stream through the span
-    // stitcher so a truncated or filtered trace is diagnosed here
-    // before anyone trusts `ssmp spans` output built from it.
-    let h = ssmp_span::SpanSet::from_jsonl(text.as_bytes())
-        .map_err(|e| format!("{path}: {e}"))?
-        .health();
+        let key = format!("{}/{}", ev.family.token(), ev.kind.token());
+        *by_key.entry(key).or_insert(0) += 1;
+        first = Some(first.map_or(ev.cycle, |f| f.min(ev.cycle)));
+        last = last.max(ev.cycle);
+        spans.fold(ev);
+    })
+    .map_err(|e| format!("{path}: {e}"))?;
+    let h = spans.health();
     if json {
         let mut fields = vec![
             ("format".to_string(), Json::str("jsonl")),
@@ -1893,7 +1873,7 @@ mod tests {
 
     #[test]
     fn profiled_run_matches_offline_analyze() {
-        // the tentpole guarantee: the live ProfileSink and the offline
+        // the live profile (a sink on the tracer) and the offline
         // `ssmp analyze` fold of the same trace emit identical JSON
         let dir = std::env::temp_dir().join("ssmp_cli_profile_equiv");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1944,7 +1924,7 @@ mod tests {
 
     #[test]
     fn spanned_run_matches_offline_spans() {
-        // the tentpole guarantee: the live SpanSink and the offline
+        // the live span set (a sink on the tracer) and the offline
         // `ssmp spans` stitch of the same trace emit identical JSON
         let dir = std::env::temp_dir().join("ssmp_cli_spans_equiv");
         std::fs::create_dir_all(&dir).unwrap();

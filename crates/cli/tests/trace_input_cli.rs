@@ -10,54 +10,10 @@
 //! counts every event twice. It writes every number as an exact integer,
 //! so a sign, a fraction or an out-of-range value means the same.
 
-use std::io::Read;
-use std::path::PathBuf;
-use std::process::{Command, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-/// Generous for a few thousand lines; a looping reader blows through it.
-const BOUND: Duration = Duration::from_secs(10);
-
-fn cli() -> Command {
-    Command::new(env!("CARGO_BIN_EXE_ssmp-cli"))
-}
-
-fn tmp(name: &str) -> (PathBuf, String) {
-    let p = std::env::temp_dir().join(format!("ssmp-trace-input-{}-{name}", std::process::id()));
-    let s = p.to_str().expect("utf-8 temp path").to_string();
-    (p, s)
-}
-
-/// Runs `ssmp-cli args`, killing it if it outlives [`BOUND`]; returns the
-/// exit code and stderr.
-fn run_bounded(args: &[&str]) -> (Option<i32>, String) {
-    let mut child = cli()
-        .args(args)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn ssmp-cli");
-    let start = Instant::now();
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll ssmp-cli") {
-            break status;
-        }
-        if start.elapsed() > BOUND {
-            child.kill().ok();
-            child.wait().ok();
-            panic!("ssmp-cli {args:?} still running after {BOUND:?}");
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    let mut err = String::new();
-    child
-        .stderr
-        .take()
-        .expect("piped stderr")
-        .read_to_string(&mut err)
-        .expect("read stderr");
-    (status.code(), err)
-}
+use common::{cli, run_bounded, tmp};
+use std::process::Stdio;
 
 /// Every reader in `argvs` rejects the file with exit 2, and its
 /// diagnostic contains `names`.
@@ -92,6 +48,7 @@ fn a_transaction_reopened_on_one_node_is_rejected() {
         &[
             &["spans", "--in", &path],
             &["trace", "stats", "--in", &path],
+            &["analyze", "--in", &path],
         ],
         "line 3: transaction 5 begins a second time",
     );
@@ -161,7 +118,7 @@ fn a_number_that_is_not_an_exact_integer_is_rejected() {
     let field = "field 'cycle' is not an unsigned 64-bit integer: -5";
     assert_rejected(
         &[&["trace", "stats", "--validate", "--in", &path]],
-        &format!("{path}:1: {field}"),
+        &format!("{path}: line 1: {field}"),
     );
     assert_rejected(
         &[&["analyze", "--in", &path], &["spans", "--in", &path]],

@@ -13,6 +13,7 @@
 //! back-pressure and the machine stalls the processor until space frees up.
 
 use crate::addr::SharedAddr;
+use ssmp_engine::Cycle;
 use std::collections::VecDeque;
 
 /// A buffered global write.
@@ -30,6 +31,9 @@ pub struct PendingWrite {
     /// untagged). Carried here so the issue and ack paths can attribute
     /// the write's wire messages without a side table.
     pub txn: u64,
+    /// Cycle the write's span began (meaningful when `txn != 0`), so
+    /// the ack can close the span with its duration.
+    pub begin: Cycle,
 }
 
 /// The write buffer.
@@ -81,6 +85,7 @@ impl WriteBuffer {
             id,
             issued: false,
             txn: 0,
+            begin: 0,
         });
         self.peak = self.peak.max(self.entries.len());
         self.total_enqueued += 1;
@@ -95,21 +100,23 @@ impl WriteBuffer {
         Some(*e)
     }
 
-    /// Attaches a span transaction id to the pending write `id` (no-op if
-    /// the id is unknown — e.g. it was already acknowledged).
-    pub fn tag_txn(&mut self, id: u64, txn: u64) {
+    /// Attaches span transaction `txn`, begun at cycle `begin`, to the
+    /// pending write `id` (no-op if the id is unknown — e.g. it was
+    /// already acknowledged).
+    pub fn tag_txn(&mut self, id: u64, txn: u64, begin: Cycle) {
         if let Some(e) = self.entries.iter_mut().find(|e| e.id == id) {
             e.txn = txn;
+            e.begin = begin;
         }
     }
 
-    /// The span transaction tagged onto pending write `id` (0 when
-    /// untagged or unknown).
-    pub fn txn_of(&self, id: u64) -> u64 {
+    /// The span transaction tagged onto pending write `id` and the cycle
+    /// it began (`(0, 0)` when untagged or unknown).
+    pub fn txn_of(&self, id: u64) -> (u64, Cycle) {
         self.entries
             .iter()
             .find(|e| e.id == id)
-            .map_or(0, |e| e.txn)
+            .map_or((0, 0), |e| (e.txn, e.begin))
     }
 
     /// Retires the entry whose acknowledgment arrived. Returns `true` if the

@@ -7,8 +7,8 @@
 //! - `ssmp run --json` reports (counters, stall breakdown, embedded
 //!   profile/span documents),
 //! - `ssmp-sweep-v1` sweeps, point-aligned by scenario label, with the
-//!   gate's key classes (exact / speedup-floor / informational) applied
-//!   as diff policies,
+//!   gate's two key classes (exact / informational) applied as diff
+//!   policies,
 //! - `ssmp-profile-v1` profiles: stall-attribution *movement* tables that
 //!   preserve the exact-sum invariant on both sides (busy + the seven
 //!   stall buckets sum to total node cycles, so the row deltas sum exactly
@@ -38,39 +38,18 @@ pub enum KeyClass {
     /// A deterministic simulation product: must match the baseline exactly;
     /// any drift is a silent behaviour change, not noise.
     Exact,
-    /// A relative in-process timing ratio, checked against a lower bound
-    /// `baseline × (1 − tolerance)` — only regressions fail.
-    SpeedupFloor,
     /// Host-dependent wall-clock: reported in the delta table, never
     /// enforced.
     Informational,
 }
 
-/// Classifies a sweep measurement key:
-/// `*_secs` / `*_per_sec` are informational, `speedup` has a floor,
-/// everything else is exact.
+/// Classifies a sweep measurement key: `*_secs` / `*_per_sec` are
+/// informational, everything else is exact.
 pub fn classify(key: &str) -> KeyClass {
     if key.ends_with("_secs") || key.ends_with("_per_sec") {
         KeyClass::Informational
-    } else if key == "speedup" {
-        KeyClass::SpeedupFloor
     } else {
         KeyClass::Exact
-    }
-}
-
-/// Diff gating policy: the tolerance band for [`KeyClass::SpeedupFloor`]
-/// keys. The default 0.5 lets a speedup sag to half its recorded value.
-#[derive(Debug, Clone, Copy)]
-pub struct DiffPolicy {
-    /// Fractional sag allowed below a speedup baseline before the key is
-    /// judged regressed.
-    pub tolerance: f64,
-}
-
-impl Default for DiffPolicy {
-    fn default() -> Self {
-        DiffPolicy { tolerance: 0.5 }
     }
 }
 
@@ -1094,8 +1073,6 @@ pub enum Verdict {
     Ok,
     /// An exact key drifted — simulation behaviour changed.
     Drift,
-    /// A speedup-floor key fell below its floor.
-    Regressed,
     /// Informational key: never enforced.
     Info,
 }
@@ -1106,7 +1083,6 @@ impl Verdict {
         match self {
             Verdict::Ok => "ok",
             Verdict::Drift => "DRIFT",
-            Verdict::Regressed => "REGRESSED",
             Verdict::Info => "info",
         }
     }
@@ -1154,11 +1130,10 @@ pub struct SweepDiff {
 }
 
 impl SweepDiff {
-    /// Diffs two parsed sweeps under a policy. `b_name` labels the
-    /// comparison side in violation messages.
-    pub fn between(a: &SweepView, b: &SweepView, b_name: &str, policy: &DiffPolicy) -> SweepDiff {
+    /// Diffs two parsed sweeps under the key classes. `b_name` labels
+    /// the comparison side in violation messages.
+    pub fn between(a: &SweepView, b: &SweepView, b_name: &str) -> SweepDiff {
         let mut out = SweepDiff::default();
-        let tolerance = policy.tolerance;
         for pa in &a.points {
             let label = &pa.label;
             let Some(pb) = b.point(label) else {
@@ -1186,18 +1161,6 @@ impl SweepDiff {
                                  (deterministic key — simulation behaviour changed)"
                             ));
                             Verdict::Drift
-                        }
-                    }
-                    KeyClass::SpeedupFloor => {
-                        if vb >= va * (1.0 - tolerance) {
-                            Verdict::Ok
-                        } else {
-                            out.violations.push(format!(
-                                "'{label}.{key}' regressed: current {vb:.3} < floor {:.3} \
-                                 (baseline {va:.3} × (1 − {tolerance}))",
-                                va * (1.0 - tolerance)
-                            ));
-                            Verdict::Regressed
                         }
                     }
                     KeyClass::Informational => Verdict::Info,
@@ -1312,27 +1275,19 @@ pub struct Diff {
     pub a_name: String,
     /// Label for the comparison side.
     pub b_name: String,
-    /// The speedup tolerance the diff was computed under.
-    pub tolerance: f64,
     /// The kind-specific body.
     pub body: DiffBody,
 }
 
 impl Diff {
     /// Diffs two artifacts; errors when the kinds differ.
-    pub fn between(
-        a: &Artifact,
-        b: &Artifact,
-        a_name: &str,
-        b_name: &str,
-        policy: &DiffPolicy,
-    ) -> Result<Diff, String> {
+    pub fn between(a: &Artifact, b: &Artifact, a_name: &str, b_name: &str) -> Result<Diff, String> {
         let body = match (a, b) {
             (Artifact::Report(x), Artifact::Report(y)) => {
                 DiffBody::Report(Box::new(ReportDiff::between(x, y)))
             }
             (Artifact::Sweep(x), Artifact::Sweep(y)) => {
-                DiffBody::Sweep(SweepDiff::between(x, y, b_name, policy))
+                DiffBody::Sweep(SweepDiff::between(x, y, b_name))
             }
             (Artifact::Profile(x), Artifact::Profile(y)) => {
                 DiffBody::Profile(ProfileDiff::between(x, y))
@@ -1349,7 +1304,6 @@ impl Diff {
         Ok(Diff {
             a_name: a_name.to_string(),
             b_name: b_name.to_string(),
-            tolerance: policy.tolerance,
             body,
         })
     }
@@ -1465,48 +1419,6 @@ impl Diff {
                 (cycles, Vec::new())
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Serde-stable comparison entry points for the in-memory types
-// ---------------------------------------------------------------------------
-
-/// In-memory comparison entry point: `a.compare(&b)` funnels both sides
-/// through their stable JSON schema, so the diff of two in-memory objects
-/// is guaranteed identical to the diff of their rendered artifacts.
-pub trait Compare {
-    /// The diff type this comparison produces.
-    type Output;
-    /// Diffs `self` (baseline) against `other`.
-    fn compare(&self, other: &Self) -> Self::Output;
-}
-
-impl Compare for ssmp_profile::Profile {
-    type Output = ProfileDiff;
-    fn compare(&self, other: &Self) -> ProfileDiff {
-        let a = ProfileView::from_json(&self.to_json()).expect("Profile::to_json is schema-stable");
-        let b =
-            ProfileView::from_json(&other.to_json()).expect("Profile::to_json is schema-stable");
-        ProfileDiff::between(&a, &b)
-    }
-}
-
-impl Compare for ssmp_span::SpanSet {
-    type Output = SpanDiff;
-    fn compare(&self, other: &Self) -> SpanDiff {
-        let a = SpanView::from_json(&self.to_json()).expect("SpanSet::to_json is schema-stable");
-        let b = SpanView::from_json(&other.to_json()).expect("SpanSet::to_json is schema-stable");
-        SpanDiff::between(&a, &b)
-    }
-}
-
-impl Compare for ssmp_machine::Report {
-    type Output = ReportDiff;
-    fn compare(&self, other: &Self) -> ReportDiff {
-        let a = ReportView::from_json(&self.to_json()).expect("Report::to_json is schema-stable");
-        let b = ReportView::from_json(&other.to_json()).expect("Report::to_json is schema-stable");
-        ReportDiff::between(&a, &b)
     }
 }
 

@@ -313,7 +313,6 @@ fn sweep_json(s: &SweepDiff) -> Json {
                 .map(|v| {
                     let class = match v.class {
                         KeyClass::Exact => "exact",
-                        KeyClass::SpeedupFloor => "speedup-floor",
                         KeyClass::Informational => "informational",
                     };
                     let mut o = vec![
@@ -364,8 +363,8 @@ fn sweep_json(s: &SweepDiff) -> Json {
 
 impl Diff {
     /// Renders the deterministic `ssmp-diff-v1` document. Byte-identical
-    /// for the same pair of inputs (and the same names/tolerance), however
-    /// the artifacts were produced.
+    /// for the same pair of inputs (and the same names), however the
+    /// artifacts were produced.
     pub fn to_json(&self) -> Json {
         let (cycles, counts) = self.top_movers();
         let body = match &self.body {
@@ -379,7 +378,6 @@ impl Diff {
             ("kind".into(), Json::str(self.kind())),
             ("a".into(), Json::str(self.a_name.clone())),
             ("b".into(), Json::str(self.b_name.clone())),
-            ("tolerance".into(), Json::num(self.tolerance)),
             ("identical".into(), Json::Bool(self.identical())),
             ("changed".into(), Json::num(self.changed_count())),
             (self.kind().to_string(), body),

@@ -84,7 +84,7 @@ fn report_doc(completion: u64, reads: u64) -> String {
 fn diff_of(a: &str, b: &str) -> Diff {
     let aa = Artifact::parse(a).unwrap();
     let bb = Artifact::parse(b).unwrap();
-    Diff::between(&aa, &bb, "a.json", "b.json", &DiffPolicy::default()).unwrap()
+    Diff::between(&aa, &bb, "a.json", "b.json").unwrap()
 }
 
 // -------------------------------------------------------------------------
@@ -95,7 +95,7 @@ fn diff_of(a: &str, b: &str) -> Diff {
 fn classify_matches_gate_rule() {
     assert_eq!(classify("build_secs"), KeyClass::Informational);
     assert_eq!(classify("events_per_sec"), KeyClass::Informational);
-    assert_eq!(classify("speedup"), KeyClass::SpeedupFloor);
+    assert_eq!(classify("speedup"), KeyClass::Exact);
     assert_eq!(classify("completion"), KeyClass::Exact);
     assert_eq!(classify("net_words"), KeyClass::Exact);
 }
@@ -212,22 +212,6 @@ fn sweep_exact_drift_is_a_violation() {
         v[0]
     );
     assert!(v[0].contains("simulation behaviour changed"));
-}
-
-#[test]
-fn sweep_speedup_within_tolerance_is_ok() {
-    // default tolerance 0.5: floor is 1.0 for a baseline of 2.0
-    let d = diff_of(&sweep_doc(100, 2.0, false), &sweep_doc(100, 1.2, false));
-    assert!(d.violations().is_empty());
-}
-
-#[test]
-fn sweep_speedup_below_floor_regresses() {
-    let d = diff_of(&sweep_doc(100, 2.0, false), &sweep_doc(100, 0.8, false));
-    let v = d.violations();
-    assert_eq!(v.len(), 1);
-    assert!(v[0].contains("'p1.speedup' regressed"), "got: {}", v[0]);
-    assert!(v[0].contains("floor 1.000"));
 }
 
 #[test]
@@ -390,7 +374,7 @@ fn artifact_parse_rejects_unknown_schema() {
 fn kind_mismatch_is_an_error() {
     let a = Artifact::parse(&profile_doc(1000, 150, 9, false)).unwrap();
     let b = Artifact::parse(&span_doc(9, 20)).unwrap();
-    let err = Diff::between(&a, &b, "a", "b", &DiffPolicy::default()).unwrap_err();
+    let err = Diff::between(&a, &b, "a", "b").unwrap_err();
     assert_eq!(
         err,
         "cannot diff a profile artifact against a span artifact"

@@ -58,8 +58,8 @@ pub use rng::SimRng;
 pub use series::IntervalSeries;
 pub use stats::{CounterId, CounterSet, Histogram};
 pub use trace::{
-    Family, JsonlSink, Kind, MemorySink, OwnedEvent, PerfettoSink, TraceEvent, TraceFilter,
-    TraceRing, TraceSink, Tracer,
+    Family, JsonlSink, Kind, MemorySink, PerfettoSink, TraceEvent, TraceFilter, TraceRing,
+    TraceSink, Tracer,
 };
 pub use watchdog::{Watchdog, WatchdogVerdict};
 pub use wheel::{Scheduled, WheelQueue};

@@ -187,10 +187,12 @@ impl Kind {
     }
 }
 
-/// One trace record. All fields are plain values so construction is cheap
-/// and the event is `Copy`.
+/// One trace record. The machine emits `TraceEvent<&'static str>` (the
+/// default), whose fields are all plain values, so construction is cheap
+/// and the event is `Copy`; [`read_jsonl`] yields `TraceEvent<String>`.
+/// An observer folds both through one `D: AsRef<str>` entry point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
+pub struct TraceEvent<D = &'static str> {
     /// Simulation time of the event.
     pub cycle: Cycle,
     /// The node the event is attributed to (`-1` = machine-global, e.g. a
@@ -203,7 +205,7 @@ pub struct TraceEvent {
     /// Fine-grained label: the counter key for messages
     /// (`"msg.cbl.request"`), the stall cause (`"fill"`), the fault fate
     /// (`"drop"`), the op name for issues, ...
-    pub detail: &'static str,
+    pub detail: D,
     /// Primary payload: wire id for message events, lock/block id for
     /// lock events, epoch for retries.
     pub id: u64,
@@ -212,7 +214,7 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-impl TraceEvent {
+impl<D: AsRef<str>> TraceEvent<D> {
     /// Renders the event as one JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
         format!(
@@ -221,7 +223,7 @@ impl TraceEvent {
             self.node,
             self.family.token(),
             self.kind.token(),
-            escape(self.detail),
+            escape(self.detail.as_ref()),
             self.id,
             self.arg
         )
@@ -244,15 +246,6 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Validates one parsed JSONL trace record against the event schema:
-/// required fields present, `cycle`, `id` and `arg` exact unsigned
-/// integers, `node` an exact signed integer, `family` and `kind` drawn
-/// from the known token sets. Used by `ssmp trace stats` (and CI) so the
-/// format cannot bit-rot silently.
-pub fn validate_jsonl(doc: &Json) -> Result<(), String> {
-    parse_jsonl_event(doc).map(drop)
-}
-
 /// Reads integer field `field` exactly as the machine wrote it. A sign
 /// (on an unsigned type), a fraction, an exponent or a value out of
 /// `T`'s range is an error naming the field, never a rounded or clamped
@@ -267,46 +260,11 @@ fn exact_int<T: std::str::FromStr>(doc: &Json, field: &str, what: &str) -> Resul
     }
 }
 
-/// A parsed trace record with an owned `detail` string — the offline
-/// counterpart of [`TraceEvent`] (whose `detail` is `&'static str`), used
-/// by consumers that read traces back from JSONL files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OwnedEvent {
-    /// Simulation time of the event.
-    pub cycle: Cycle,
-    /// The node the event is attributed to (`-1` = machine-global).
-    pub node: i64,
-    /// Protocol family / subsystem.
-    pub family: Family,
-    /// Event kind.
-    pub kind: Kind,
-    /// Fine-grained label.
-    pub detail: String,
-    /// Primary payload.
-    pub id: u64,
-    /// Secondary payload.
-    pub arg: u64,
-}
-
-impl From<&TraceEvent> for OwnedEvent {
-    fn from(ev: &TraceEvent) -> Self {
-        Self {
-            cycle: ev.cycle,
-            node: ev.node,
-            family: ev.family,
-            kind: ev.kind,
-            detail: ev.detail.to_string(),
-            id: ev.id,
-            arg: ev.arg,
-        }
-    }
-}
-
-/// Parses one JSONL trace record into an [`OwnedEvent`], checking it
-/// against the schema [`validate_jsonl`] describes, so callers get schema
-/// errors and field extraction from one place (`ssmp trace stats
-/// --validate`, `ssmp analyze` and `ssmp spans` share this).
-pub fn parse_jsonl_event(doc: &Json) -> Result<OwnedEvent, String> {
+/// Parses one JSONL trace record, checking it against the event schema:
+/// required fields present, `cycle`, `id` and `arg` exact unsigned
+/// integers, `node` an exact signed integer, `family` and `kind` drawn
+/// from the known token sets, so the format cannot bit-rot silently.
+pub fn parse_jsonl_event(doc: &Json) -> Result<TraceEvent<String>, String> {
     const UNSIGNED: &str = "an unsigned 64-bit integer";
     let cycle = exact_int(doc, "cycle", UNSIGNED)?;
     let node = exact_int(doc, "node", "a signed 64-bit integer")?;
@@ -321,7 +279,7 @@ pub fn parse_jsonl_event(doc: &Json) -> Result<OwnedEvent, String> {
     let family = Family::from_token(family).ok_or_else(|| format!("unknown family '{family}'"))?;
     let kind = text("kind")?;
     let kind = Kind::from_token(kind).ok_or_else(|| format!("unknown event kind '{kind}'"))?;
-    Ok(OwnedEvent {
+    Ok(TraceEvent {
         cycle,
         node,
         family,
@@ -334,15 +292,18 @@ pub fn parse_jsonl_event(doc: &Json) -> Result<OwnedEvent, String> {
 
 /// Reads a JSONL trace (one event object per line), handing each event
 /// to `fold`. Blank lines are skipped. A malformed line, a second
-/// `net-inject` of a wire id already read, or an error from `fold` aborts
-/// with the line number: the machine never injects a wire twice, so such
-/// a file is corrupt or concatenated, and folding it would count its
-/// events twice. The offline profile and span readers share this.
+/// `net-inject` of a wire id or a second `span-begin` of a transaction id
+/// aborts with the line number: the machine never reuses either id, so
+/// such a file is corrupt or concatenated, and folding it would count its
+/// events twice (and make a reopened span its own critical-path parent).
+/// Every offline reader (`ssmp trace stats`, `analyze`, `spans`) shares
+/// this.
 pub fn read_jsonl<R: BufRead>(
     reader: R,
-    mut fold: impl FnMut(&OwnedEvent) -> Result<(), String>,
+    mut fold: impl FnMut(&TraceEvent<String>),
 ) -> Result<(), String> {
     let mut injected = IdMap::new();
+    let mut begun = IdMap::new();
     for (i, line) in reader.lines().enumerate() {
         let at = |e: String| format!("line {}: {e}", i + 1);
         let line = line.map_err(|e| at(e.to_string()))?;
@@ -354,7 +315,10 @@ pub fn read_jsonl<R: BufRead>(
         if ev.kind == Kind::NetInject && injected.insert(ev.id, ()).is_some() {
             return Err(at(format!("wire {} is injected a second time", ev.id)));
         }
-        fold(&ev).map_err(at)?;
+        if ev.kind == Kind::SpanBegin && begun.insert(ev.id, ()).is_some() {
+            return Err(at(format!("transaction {} begins a second time", ev.id)));
+        }
+        fold(&ev);
     }
     Ok(())
 }
@@ -493,6 +457,18 @@ pub trait TraceSink {
     /// Flushes / finalizes the sink (called once, at end of run).
     fn finish(&mut self) -> io::Result<()> {
         Ok(())
+    }
+}
+
+/// A shared observer is a sink: the tracer holds one handle and the caller
+/// keeps another to read the observer back after the run.
+impl<T: TraceSink> TraceSink for Rc<RefCell<T>> {
+    fn record(&mut self, ev: &TraceEvent) {
+        self.borrow_mut().record(ev);
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.borrow_mut().finish()
     }
 }
 
@@ -932,7 +908,7 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         for line in text.lines() {
             let doc = Json::parse(line).unwrap();
-            validate_jsonl(&doc).unwrap();
+            parse_jsonl_event(&doc).unwrap();
         }
     }
 
@@ -942,9 +918,11 @@ mod tests {
             r#"{"cycle":1,"node":0,"family":"cbl","kind":"frob","detail":"x","id":0,"arg":0}"#,
         )
         .unwrap();
-        assert!(validate_jsonl(&doc).unwrap_err().contains("unknown event"));
+        assert!(parse_jsonl_event(&doc)
+            .unwrap_err()
+            .contains("unknown event"));
         let doc = Json::parse(r#"{"cycle":1}"#).unwrap();
-        assert!(validate_jsonl(&doc).is_err());
+        assert!(parse_jsonl_event(&doc).is_err());
     }
 
     #[test]
@@ -1023,7 +1001,8 @@ mod tests {
         };
         let doc = Json::parse(&orig.to_jsonl()).unwrap();
         let parsed = parse_jsonl_event(&doc).unwrap();
-        assert_eq!(parsed, OwnedEvent::from(&orig));
+        assert_eq!(parsed.detail, orig.detail);
+        assert_eq!(parsed.to_jsonl(), orig.to_jsonl());
         let bad = Json::parse(r#"{"cycle":1}"#).unwrap();
         assert!(parse_jsonl_event(&bad).is_err());
     }
@@ -1042,36 +1021,33 @@ mod tests {
     }
 
     #[test]
-    fn read_jsonl_rejects_a_reinjected_wire_and_names_fold_errors() {
-        let inject = |id| {
+    fn read_jsonl_rejects_a_reinjected_wire_or_a_reopened_transaction() {
+        let line = |kind, id| {
             let e = TraceEvent {
                 id,
-                ..ev(5, 0, Kind::NetInject)
+                ..ev(5, 0, kind)
             };
             e.to_jsonl() + "\n"
         };
         // Far-apart ids land in the side map; the second u64::MAX is caught.
-        let text = [
-            inject(1),
-            inject(u64::MAX),
-            "\n".into(),
-            inject(2),
-            inject(u64::MAX),
-        ]
-        .concat();
-        let mut folded = 0;
-        let err = read_jsonl(text.as_bytes(), |_| {
-            folded += 1;
-            Ok(())
-        })
-        .unwrap_err();
-        assert_eq!(
-            err,
-            format!("line 5: wire {} is injected a second time", u64::MAX)
-        );
-        assert_eq!(folded, 3);
-        let err = read_jsonl(inject(3).as_bytes(), |_| Err("refused".into())).unwrap_err();
-        assert_eq!(err, "line 1: refused");
+        let ids = [1, u64::MAX, 2, u64::MAX];
+        for (kind, what) in [(Kind::NetInject, "wire"), (Kind::SpanBegin, "transaction")] {
+            let text: String = ids.map(|id| line(kind, id)).concat();
+            let mut folded = 0;
+            let err = read_jsonl(text.as_bytes(), |_| folded += 1).unwrap_err();
+            assert!(
+                err.starts_with(&format!("line 4: {what} {} ", u64::MAX)),
+                "{err}"
+            );
+            assert_eq!(folded, 3);
+        }
+        // Wire and transaction ids are separate spaces, and blank lines
+        // still count toward the line number.
+        let text = line(Kind::NetInject, 7) + "\n" + &line(Kind::SpanBegin, 7);
+        assert_eq!(read_jsonl(text.as_bytes(), |_| {}), Ok(()));
+        let text = text + &line(Kind::SpanBegin, 7);
+        let err = read_jsonl(text.as_bytes(), |_| {}).unwrap_err();
+        assert_eq!(err, "line 4: transaction 7 begins a second time");
     }
 
     #[test]
@@ -1083,7 +1059,6 @@ mod tests {
                     err.contains(&format!("field '{field}'")),
                     "{field}={bad}: {err}"
                 );
-                assert!(validate_jsonl(&with_number(field, bad)).is_err());
             }
         }
         for bad in ["1.5", "1e3", "-1.0", "9223372036854775808"] {

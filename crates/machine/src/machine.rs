@@ -20,7 +20,9 @@
 //! the cached copy and the burst of refills/test-and-sets at release time
 //! that the paper identifies as WBI's scalability problem.
 
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::rc::Rc;
 
 use ssmp_coherence::{
     CohEffect, CohKind, CohOutbox, CoherenceProtocol, DragonBlock, DragonKind, MesiBlock, MesiKind,
@@ -35,7 +37,7 @@ use ssmp_core::primitive::{AccessClass, LockMode};
 use ssmp_core::ric::{RicKind, RicOutbox, UpdateList};
 use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind};
 use ssmp_core::wbuf::Enqueue;
-use ssmp_engine::trace::{Family, Kind, TraceEvent, Tracer};
+use ssmp_engine::trace::{Family, Kind, TraceEvent, TraceFilter, TraceSink, Tracer};
 use ssmp_engine::{
     CounterId, CounterSet, Cycle, Histogram, IntervalSeries, SimRng, Watchdog, WatchdogVerdict,
     WheelQueue,
@@ -229,12 +231,12 @@ pub struct Machine {
     tracer: Tracer,
     /// Live profiler handle (`Some` when [`MachineBuilder::profile`] is
     /// enabled); the folded profile is moved into the report at finish.
-    profile: Option<ssmp_profile::SharedProfile>,
+    profile: Option<Rc<RefCell<ssmp_profile::Profile>>>,
     /// Live span-stitcher handle (`Some` when [`MachineBuilder::spans`]
     /// is enabled); the folded span set is moved into the report at
     /// finish. Span *emission* is keyed on the tracer alone, so any
     /// traced run stitches offline even without this sink.
-    spans: Option<ssmp_span::SharedSpans>,
+    spans: Option<Rc<RefCell<ssmp_span::SpanSet>>>,
     /// Monotonic span transaction-id source (ids start at 1; 0 = none).
     txn_ctr: u64,
     /// Wire id → owning span transaction. Consumed at delivery so the
@@ -254,12 +256,10 @@ pub struct Machine {
     span_pending: Vec<(u64, Family)>,
     /// Per-node open span transaction id (0 = none).
     open_txn: Vec<u64>,
-    /// Begin cycle of each open buffered-write span, keyed by txn.
-    wbuf_begin: HashMap<u64, Cycle>,
     /// Live protocol sanitizer (`Some` when [`MachineBuilder::check`] is
-    /// enabled): shares the oracle with the `CheckSink` on the tracer and
-    /// receives the state-exposure hooks; its violations land in the
-    /// report at finish.
+    /// enabled): shares the oracle with the tracer, which holds another
+    /// handle as its sink, and receives the state-exposure hooks; its
+    /// violations land in the report at finish.
     check: Option<ssmp_check::SharedChecker>,
     /// Interval gauge sampler (`Some` when `cfg.metrics_interval` is set).
     metrics: Option<MetricsState>,
@@ -362,9 +362,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Enables the protocol-level profiler: a [`ssmp_profile::ProfileSink`]
-    /// is attached to the tracer (enabling it, unfiltered, if no tracer was
-    /// set) and the folded [`ssmp_profile::Profile`] lands in
+    /// Enables the protocol-level profiler: a [`ssmp_profile::Profile`] is
+    /// attached to the tracer as a sink (enabling it, unfiltered, if no
+    /// tracer was set) and the folded profile lands in
     /// [`Report::profile`]. Profiling, like tracing, is a pure observer.
     ///
     /// Note: if a tracer with a restrictive [`ssmp_engine::TraceFilter`]
@@ -376,9 +376,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Enables transaction-level span stitching: a [`ssmp_span::SpanSink`]
-    /// is attached to the tracer (enabling it, unfiltered, if no tracer
-    /// was set) and the folded [`ssmp_span::SpanSet`] lands in
+    /// Enables transaction-level span stitching: a [`ssmp_span::SpanSet`]
+    /// is attached to the tracer as a sink (enabling it, unfiltered, if no
+    /// tracer was set) and the folded span set lands in
     /// [`Report::spans`]. Like profiling, span stitching is a pure
     /// observer — an armed run's simulated behavior is bit-identical to
     /// an unarmed one.
@@ -391,9 +391,9 @@ impl MachineBuilder {
         self
     }
 
-    /// Arms the runtime protocol sanitizer: a [`ssmp_check::CheckSink`] is
-    /// attached to the tracer (enabling it, unfiltered, if no tracer was
-    /// set) and any [`ssmp_check::ViolationReport`]s land in
+    /// Arms the runtime protocol sanitizer: a [`ssmp_check::Checker`] is
+    /// attached to the tracer as a sink (enabling it, unfiltered, if no
+    /// tracer was set) and any [`ssmp_check::ViolationReport`]s land in
     /// [`Report::violations`]. Like tracing and profiling, the sanitizer
     /// is a pure observer: an armed run that violates nothing produces a
     /// report byte-identical to an unarmed run.
@@ -408,36 +408,32 @@ impl MachineBuilder {
         let mut m = Machine::assemble(self.cfg, workload, self.locks)?;
         m.sems = self.sems.iter().map(|&c| HwSemaphore::new(c)).collect();
         m.tracer = self.tracer;
-        // `SSMP_PROFILE` force-enables profiling so sweep/bench binaries
-        // built on `ExpArgs` pick up `--profile` without plumbing.
-        if self.profile || std::env::var_os("SSMP_PROFILE").is_some() {
-            if !m.tracer.is_on() {
-                m.tracer = Tracer::new(ssmp_engine::TraceFilter::all());
-            }
-            let (sink, handle) = ssmp_profile::ProfileSink::new();
-            m.tracer.add_sink(sink);
-            m.profile = Some(handle);
+        // `SSMP_PROFILE`, `SSMP_SPANS` and `SSMP_CHECK` force-arm their
+        // observer so sweep/bench binaries built on `ExpArgs` pick up
+        // `--profile`, `--spans` and `--check` without plumbing.
+        let armed = |on: bool, var: &str| on || std::env::var_os(var).is_some();
+        if armed(self.profile, "SSMP_PROFILE") {
+            m.profile = Some(attach(&mut m.tracer));
         }
-        // `SSMP_SPANS` force-enables span stitching the same way.
-        if self.spans || std::env::var_os("SSMP_SPANS").is_some() {
-            if !m.tracer.is_on() {
-                m.tracer = Tracer::new(ssmp_engine::TraceFilter::all());
-            }
-            let (sink, handle) = ssmp_span::SpanSink::new();
-            m.tracer.add_sink(sink);
-            m.spans = Some(handle);
+        if armed(self.spans, "SSMP_SPANS") {
+            m.spans = Some(attach(&mut m.tracer));
         }
-        // `SSMP_CHECK` force-arms the sanitizer the same way.
-        if self.check || std::env::var_os("SSMP_CHECK").is_some() {
-            if !m.tracer.is_on() {
-                m.tracer = Tracer::new(ssmp_engine::TraceFilter::all());
-            }
-            let (sink, handle) = ssmp_check::CheckSink::new();
-            m.tracer.add_sink(sink);
-            m.check = Some(handle);
+        if armed(self.check, "SSMP_CHECK") {
+            m.check = Some(attach(&mut m.tracer));
         }
         Ok(m)
     }
+}
+
+/// Turns `tracer` on, unfiltered, if it is off, attaches a fresh observer
+/// to it and returns the observer's handle.
+fn attach<T: TraceSink + Default + 'static>(tracer: &mut Tracer) -> Rc<RefCell<T>> {
+    if !tracer.is_on() {
+        *tracer = Tracer::new(TraceFilter::all());
+    }
+    let observer = Rc::new(RefCell::new(T::default()));
+    tracer.add_sink(observer.clone());
+    observer
 }
 
 impl Machine {
@@ -556,7 +552,6 @@ impl Machine {
             span_node: None,
             span_pending: Vec::new(),
             open_txn: vec![0; n],
-            wbuf_begin: HashMap::new(),
             check: None,
             metrics: cfg.metrics_interval.map(|iv| {
                 let iv = iv.max(1);
@@ -1858,7 +1853,7 @@ impl Machine {
                     }
                 }
                 CohEffect::WriteDone { node, wid } => {
-                    let txn = self.nodes[node].wbuf.txn_of(wid);
+                    let (txn, begin) = self.nodes[node].wbuf.txn_of(wid);
                     let acked = self.nodes[node].wbuf.ack(wid);
                     debug_assert!(acked, "write-ack for unknown wid");
                     self.wbuf_msgs[node].remove(&wid);
@@ -1874,7 +1869,6 @@ impl Machine {
                             arg: self.nodes[node].wbuf.pending() as u64,
                         });
                         if txn != 0 {
-                            let begin = self.wbuf_begin.remove(&txn).unwrap_or(t);
                             self.tracer.emit(TraceEvent {
                                 cycle: t,
                                 node: node as i64,
@@ -2365,8 +2359,7 @@ impl Machine {
                                     // now, closed by the write-ack. Its
                                     // wires are linked at issue time.
                                     let txn = self.next_txn();
-                                    self.nodes[node].wbuf.tag_txn(wid, txn);
-                                    self.wbuf_begin.insert(txn, now);
+                                    self.nodes[node].wbuf.tag_txn(wid, txn, now);
                                     self.tracer.emit(TraceEvent {
                                         cycle: now,
                                         node: node as i64,

@@ -35,7 +35,6 @@
 pub mod bus;
 pub mod fault;
 pub mod omega;
-pub mod scratch;
 
 pub use bus::{BusNetwork, IdealNetwork};
 pub use fault::{
@@ -43,7 +42,6 @@ pub use fault::{
     ForcedFault, MsgDir, MsgKind,
 };
 pub use omega::{NetConfig, NetStats, OmegaNetwork};
-pub use scratch::SortScratch;
 
 /// Errors constructing a network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

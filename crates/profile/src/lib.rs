@@ -20,22 +20,20 @@
 //!   wait, or memory/network occupancy, summing exactly to
 //!   `cycles − busy`; plus RIC list churn and write-buffer residency.
 //!
-//! The same [`Profile`] accumulator backs both pipelines: **live**, a
-//! [`ProfileSink`] attached as a [`TraceSink`] folds events as the machine
-//! runs (zero extra passes); **offline**, [`Profile::from_jsonl`] replays
-//! a JSONL trace file through the identical fold. Given the same event
-//! stream the two paths produce byte-identical JSON
-//! ([`Profile::to_json`], schema [`SCHEMA`]).
+//! The same [`Profile`] accumulator backs both pipelines through one
+//! [`Profile::fold`]: **live**, the profile itself is a [`TraceSink`] the
+//! machine attaches to its tracer (zero extra passes); **offline**,
+//! [`Profile::from_jsonl`] replays a JSONL trace file through the same
+//! fold. Given the same event stream the two paths produce byte-identical
+//! JSON ([`Profile::to_json`], schema [`SCHEMA`]).
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
-use std::rc::Rc;
 
-use ssmp_engine::trace::{read_jsonl, OwnedEvent};
+use ssmp_engine::trace::read_jsonl;
 use ssmp_engine::{Cycle, Family, Histogram, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered profiles.
@@ -199,8 +197,8 @@ pub struct RicProfile {
 }
 
 /// The profiler accumulator: folds trace events into heatmaps, lock
-/// profiles, and stall attribution. Identical whether fed live (via
-/// [`ProfileSink`]) or offline (via [`Profile::from_jsonl`]).
+/// profiles, and stall attribution. Identical whether fed live (as a
+/// [`TraceSink`]) or offline (via [`Profile::from_jsonl`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     /// Per-node profiles, keyed by node id.
@@ -221,32 +219,19 @@ impl Profile {
         Self::default()
     }
 
-    /// Folds one live trace event.
-    pub fn fold(&mut self, ev: &TraceEvent) {
-        self.observe(
-            ev.cycle, ev.node, ev.family, ev.kind, ev.detail, ev.id, ev.arg,
-        );
-    }
-
-    /// Folds one event parsed back from a JSONL trace file.
-    pub fn fold_owned(&mut self, ev: &OwnedEvent) {
-        self.observe(
-            ev.cycle, ev.node, ev.family, ev.kind, &ev.detail, ev.id, ev.arg,
-        );
-    }
-
-    /// The single fold both pipelines share.
-    #[allow(clippy::too_many_arguments)] // mirrors the TraceEvent field list
-    pub fn observe(
-        &mut self,
-        cycle: Cycle,
-        node: i64,
-        family: Family,
-        kind: Kind,
-        detail: &str,
-        id: u64,
-        arg: u64,
-    ) {
+    /// Folds one trace event, live (`&'static str` detail) or read back
+    /// from a JSONL file (`String` detail).
+    pub fn fold<D: AsRef<str>>(&mut self, ev: &TraceEvent<D>) {
+        let &TraceEvent {
+            cycle,
+            node,
+            family,
+            kind,
+            ref detail,
+            id,
+            arg,
+        } = ev;
+        let detail = detail.as_ref();
         match kind {
             Kind::Access => {
                 let line = self.lines.entry(id).or_default();
@@ -335,14 +320,11 @@ impl Profile {
     }
 
     /// Replays a JSONL trace (one event object per line) through the fold.
-    /// Blank lines are skipped; a malformed line or a second `net-inject`
-    /// of one wire id aborts with its line number (see [`read_jsonl`]).
+    /// Blank lines are skipped; a malformed line or a reused wire or
+    /// transaction id aborts with its line number (see [`read_jsonl`]).
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<Profile, String> {
         let mut p = Profile::new();
-        read_jsonl(reader, |ev| {
-            p.fold_owned(ev);
-            Ok(())
-        })?;
+        read_jsonl(reader, |ev| p.fold(ev))?;
         Ok(p)
     }
 
@@ -651,35 +633,12 @@ impl Profile {
     }
 }
 
-/// Shared handle to a [`Profile`] being filled by a [`ProfileSink`].
-pub type SharedProfile = Rc<RefCell<Profile>>;
-
-/// A [`TraceSink`] that folds events into a [`Profile`] as the machine
-/// runs. Attach it to a tracer with an *unrestricted* filter — a filter
-/// that drops event kinds starves the fold (the offline pipeline over the
-/// same filtered file would agree, but both would be incomplete).
-#[derive(Debug, Default)]
-pub struct ProfileSink {
-    profile: SharedProfile,
-}
-
-impl ProfileSink {
-    /// Creates the sink plus the shared handle to read the profile back
-    /// after the run (the tracer consumes the sink itself).
-    pub fn new() -> (Self, SharedProfile) {
-        let profile: SharedProfile = Rc::new(RefCell::new(Profile::new()));
-        (
-            Self {
-                profile: profile.clone(),
-            },
-            profile,
-        )
-    }
-}
-
-impl TraceSink for ProfileSink {
+/// Attach the profile with an *unrestricted* tracer filter: a filter that
+/// drops event kinds starves the fold (the offline pipeline over the same
+/// filtered file would agree, but both would be incomplete).
+impl TraceSink for Profile {
     fn record(&mut self, ev: &TraceEvent) {
-        self.profile.borrow_mut().fold(ev);
+        self.fold(ev);
     }
 }
 
@@ -731,7 +690,8 @@ mod tests {
     #[test]
     fn live_and_offline_folds_agree_byte_for_byte() {
         let events = sample_events();
-        let (mut sink, live) = ProfileSink::new();
+        let live = std::rc::Rc::new(std::cell::RefCell::new(Profile::new()));
+        let mut sink = live.clone();
         let mut jsonl = String::new();
         for e in &events {
             sink.record(e);
@@ -763,7 +723,7 @@ mod tests {
         ] {
             assert_eq!(stall_bucket(tag), bucket, "tag {tag}");
         }
-        p.observe(
+        p.fold(&ev(
             0,
             0,
             Family::Node,
@@ -771,11 +731,11 @@ mod tests {
             "flush.wbuf-full",
             0,
             0,
-        );
-        p.observe(7, 0, Family::Node, Kind::StallEnd, "flush", 0, 7);
-        p.observe(10, 0, Family::Node, Kind::StallBegin, "fill", 0, 0);
-        p.observe(15, 0, Family::Node, Kind::StallEnd, "fill", 0, 5);
-        p.observe(40, 0, Family::Node, Kind::Done, "done", 0, 0);
+        ));
+        p.fold(&ev(7, 0, Family::Node, Kind::StallEnd, "flush", 0, 7));
+        p.fold(&ev(10, 0, Family::Node, Kind::StallBegin, "fill", 0, 0));
+        p.fold(&ev(15, 0, Family::Node, Kind::StallEnd, "fill", 0, 5));
+        p.fold(&ev(40, 0, Family::Node, Kind::Done, "done", 0, 0));
         let n = &p.nodes[&0];
         assert_eq!(n.stalls["wbuf-full"], 7, "refined begin tag wins");
         assert_eq!(n.stalls["mem-net"], 5);
@@ -810,10 +770,10 @@ mod tests {
     fn lock_profile_tracks_handoffs_fairness_and_depth() {
         let mut p = Profile::new();
         for (t, n, wait) in [(5u64, 0i64, 2u64), (9, 1, 4), (14, 0, 6), (20, 0, 1)] {
-            p.observe(t, n, Family::Cbl, Kind::LockAcquire, "cbl", 7, wait);
+            p.fold(&ev(t, n, Family::Cbl, Kind::LockAcquire, "cbl", 7, wait));
         }
-        p.observe(6, -1, Family::Cbl, Kind::Queue, "depth", 7, 3);
-        p.observe(10, -1, Family::Cbl, Kind::Queue, "depth", 7, 1);
+        p.fold(&ev(6, -1, Family::Cbl, Kind::Queue, "depth", 7, 3));
+        p.fold(&ev(10, -1, Family::Cbl, Kind::Queue, "depth", 7, 1));
         let l = &p.locks[&7];
         assert_eq!(l.kind, "cbl");
         assert_eq!(l.acquires, 4);
@@ -863,9 +823,9 @@ mod tests {
     #[test]
     fn wbuf_residency_pairs_push_and_ack() {
         let mut p = Profile::new();
-        p.observe(10, 2, Family::Node, Kind::Queue, "wbuf.push", 5, 1);
-        p.observe(25, 2, Family::Node, Kind::Queue, "wbuf.ack", 5, 0);
-        p.observe(30, 2, Family::Node, Kind::Queue, "wbuf.ack", 99, 0); // unmatched
+        p.fold(&ev(10, 2, Family::Node, Kind::Queue, "wbuf.push", 5, 1));
+        p.fold(&ev(25, 2, Family::Node, Kind::Queue, "wbuf.ack", 5, 0));
+        p.fold(&ev(30, 2, Family::Node, Kind::Queue, "wbuf.ack", 99, 0)); // unmatched
         let n = &p.nodes[&2];
         assert_eq!(n.wbuf_residency.count(), 1);
         assert_eq!(n.wbuf_residency.mean(), Some(15.0));

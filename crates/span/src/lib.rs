@@ -26,21 +26,20 @@
 //! * raw per-type latencies are retained, so p50/p95/p99/p999 are exact
 //!   nearest-rank quantiles, not bucket upper bounds.
 //!
-//! The same [`SpanSet`] accumulator backs both pipelines: **live**, a
-//! [`SpanSink`] attached as a [`TraceSink`] folds events as the machine
-//! runs; **offline**, [`SpanSet::from_jsonl`] replays a JSONL trace file
-//! through the identical fold. Given the same event stream the two paths
-//! produce byte-identical JSON ([`SpanSet::to_json`], schema [`SCHEMA`]).
+//! The same [`SpanSet`] accumulator backs both pipelines through one
+//! [`SpanSet::fold`]: **live**, the span set itself is a [`TraceSink`] the
+//! machine attaches to its tracer; **offline**, [`SpanSet::from_jsonl`]
+//! replays a JSONL trace file through the same fold. Given the same event
+//! stream the two paths produce byte-identical JSON ([`SpanSet::to_json`],
+//! schema [`SCHEMA`]).
 
 #![warn(missing_docs)]
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
-use std::rc::Rc;
 
-use ssmp_engine::trace::{read_jsonl, OwnedEvent};
+use ssmp_engine::trace::read_jsonl;
 use ssmp_engine::{Cycle, Family, IdMap, Json, Kind, TraceEvent, TraceSink};
 
 /// The stable schema identifier stamped into rendered span reports.
@@ -202,8 +201,8 @@ fn adoptable(detail: &str, dur: Cycle) -> bool {
 }
 
 /// The span accumulator: folds trace events into closed spans, latency
-/// distributions, and the critical path. Identical whether fed live
-/// (via [`SpanSink`]) or offline (via [`SpanSet::from_jsonl`]).
+/// distributions, and the critical path. Identical whether fed live (as
+/// a [`TraceSink`]) or offline (via [`SpanSet::from_jsonl`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanSet {
     wires: IdMap<WireInfo>,
@@ -227,32 +226,18 @@ impl SpanSet {
         Self::default()
     }
 
-    /// Folds one live trace event.
-    pub fn fold(&mut self, ev: &TraceEvent) {
-        self.observe(
-            ev.cycle, ev.node, ev.family, ev.kind, ev.detail, ev.id, ev.arg,
-        );
-    }
-
-    /// Folds one event parsed back from a JSONL trace file.
-    pub fn fold_owned(&mut self, ev: &OwnedEvent) {
-        self.observe(
-            ev.cycle, ev.node, ev.family, ev.kind, &ev.detail, ev.id, ev.arg,
-        );
-    }
-
-    /// The single fold both pipelines share.
-    #[allow(clippy::too_many_arguments)] // mirrors the TraceEvent field list
-    pub fn observe(
-        &mut self,
-        cycle: Cycle,
-        node: i64,
-        family: Family,
-        kind: Kind,
-        detail: &str,
-        id: u64,
-        arg: u64,
-    ) {
+    /// Folds one trace event, live (`&'static str` detail) or read back
+    /// from a JSONL file (`String` detail).
+    pub fn fold<D: AsRef<str>>(&mut self, ev: &TraceEvent<D>) {
+        let &TraceEvent {
+            cycle,
+            node,
+            family,
+            kind,
+            ref detail,
+            id,
+            arg,
+        } = ev;
         match kind {
             Kind::NetInject => {
                 self.health.wires += 1;
@@ -292,7 +277,7 @@ impl SpanSet {
                     id,
                     OpenSpan {
                         node,
-                        detail: detail.to_string(),
+                        detail: detail.as_ref().to_string(),
                         begin: cycle,
                         wires: Vec::new(),
                     },
@@ -435,23 +420,11 @@ impl SpanSet {
     }
 
     /// Replays a JSONL trace (one event object per line) through the
-    /// fold. Blank lines are skipped; a malformed line, a second
-    /// `net-inject` of one wire id (see [`read_jsonl`]) or a second
-    /// `span-begin` of a transaction id already seen aborts with its line
-    /// number: the machine never reuses either id, so the file is corrupt
-    /// or concatenated (and re-opening a closed span would make it its
-    /// own critical-path parent).
+    /// fold. Blank lines are skipped; a malformed line or a reused wire or
+    /// transaction id aborts with its line number (see [`read_jsonl`]).
     pub fn from_jsonl<R: BufRead>(reader: R) -> Result<SpanSet, String> {
         let mut s = SpanSet::new();
-        read_jsonl(reader, |ev| {
-            if ev.kind == Kind::SpanBegin
-                && (s.open.contains_key(ev.id) || s.closed.contains_key(ev.id))
-            {
-                return Err(format!("transaction {} begins a second time", ev.id));
-            }
-            s.fold_owned(ev);
-            Ok(())
-        })?;
+        read_jsonl(reader, |ev| s.fold(ev))?;
         Ok(s)
     }
 
@@ -774,35 +747,12 @@ fn labelled<const N: usize>(
     labels.into_iter().zip(v).filter(|&(_, c)| c > 0).collect()
 }
 
-/// Shared handle to a [`SpanSet`] being filled by a [`SpanSink`].
-pub type SharedSpans = Rc<RefCell<SpanSet>>;
-
-/// A [`TraceSink`] that folds events into a [`SpanSet`] as the machine
-/// runs. Attach it to a tracer with an *unrestricted* filter — a filter
-/// that drops span or wire events orphans the stitch (the health
-/// counters will say so, but the report will be incomplete).
-#[derive(Debug, Default)]
-pub struct SpanSink {
-    spans: SharedSpans,
-}
-
-impl SpanSink {
-    /// Creates the sink plus the shared handle to read the spans back
-    /// after the run (the tracer consumes the sink itself).
-    pub fn new() -> (Self, SharedSpans) {
-        let spans: SharedSpans = Rc::new(RefCell::new(SpanSet::new()));
-        (
-            Self {
-                spans: spans.clone(),
-            },
-            spans,
-        )
-    }
-}
-
-impl TraceSink for SpanSink {
+/// Attach the span set with an *unrestricted* tracer filter: a filter
+/// that drops span or wire events orphans the stitch (the health counters
+/// will say so, but the report will be incomplete).
+impl TraceSink for SpanSet {
     fn record(&mut self, ev: &TraceEvent) {
-        self.spans.borrow_mut().fold(ev);
+        self.fold(ev);
     }
 }
 
@@ -1047,7 +997,8 @@ mod tests {
     fn live_and_offline_folds_agree_byte_for_byte() {
         let mut events = fill_events();
         events.extend(handoff_events());
-        let (mut sink, live) = SpanSink::new();
+        let live = std::rc::Rc::new(std::cell::RefCell::new(SpanSet::new()));
+        let mut sink = live.clone();
         let mut jsonl = String::new();
         for e in &events {
             sink.record(e);

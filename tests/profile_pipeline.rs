@@ -1,7 +1,8 @@
 //! End-to-end checks of the protocol-level profiler:
 //!
-//! * live `ProfileSink` and offline `Profile::from_jsonl` over the same
-//!   trace produce byte-identical `ssmp-profile-v1` JSON;
+//! * the live profile (a sink on the tracer) and offline
+//!   `Profile::from_jsonl` over the same trace produce byte-identical
+//!   `ssmp-profile-v1` JSON;
 //! * profiled runs are byte-deterministic across repeated seeded runs;
 //! * per-node stall attribution sums exactly to the report's stalled
 //!   cycles (`cycles − busy`) on every paper workload;

@@ -6,8 +6,9 @@
 //! * every stitched transaction's segment breakdown sums *exactly* to
 //!   its end-to-end latency, and every machine-produced trace stitches
 //!   cleanly (no orphans, no dangling wire links);
-//! * live `SpanSink` and offline `SpanSet::from_jsonl` over the same
-//!   trace produce byte-identical `ssmp-span-v1` JSON;
+//! * the live span set (a sink on the tracer) and offline
+//!   `SpanSet::from_jsonl` over the same trace produce byte-identical
+//!   `ssmp-span-v1` JSON;
 //! * span-armed runs are byte-deterministic across repeated seeded runs.
 
 use ssmp::engine::trace::MemorySink;

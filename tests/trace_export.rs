@@ -3,7 +3,7 @@
 //! flows; it must be bit-deterministic across runs; and tracing must be a
 //! pure observer (a traced run reports exactly what an untraced run does).
 
-use ssmp::engine::trace::{render_chrome_trace, validate_jsonl, MemorySink};
+use ssmp::engine::trace::{parse_jsonl_event, render_chrome_trace, MemorySink};
 use ssmp::engine::{Json, TraceEvent, TraceFilter, Tracer};
 use ssmp::machine::{Machine, MachineConfig, Report};
 use ssmp::workload::{Grain, SyncModel, SyncParams, WorkQueue, WorkQueueParams};
@@ -99,7 +99,7 @@ fn jsonl_lines_of_a_real_run_validate() {
     for ev in &events {
         let line = ev.to_jsonl();
         let doc = Json::parse(&line).expect("jsonl line must parse");
-        validate_jsonl(&doc).expect("jsonl line must validate");
+        parse_jsonl_event(&doc).expect("jsonl line must validate");
     }
 }
 
