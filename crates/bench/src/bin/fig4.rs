@@ -11,68 +11,16 @@
 //!
 //! Usage: `fig4 [--quick] [--json] [--jobs N] [--out FILE] [--svg FILE]`
 
-use ssmp_bench::exp::{ExpArgs, Experiment, PointOutput};
-use ssmp_bench::{run_sync, run_work_queue_strong, Table, NODES_SWEEP, NODES_SWEEP_QUICK};
-use ssmp_machine::{MachineConfig, Report};
 use ssmp_workload::Grain;
 
-const SERIES: &[&str] = &["WBI", "CBL", "Q-WBI", "Q-backoff", "Q-CBL"];
-
-fn series_run(series: &str, n: usize, grain: Grain, total: usize, sync_tasks: usize) -> Report {
-    match series {
-        "WBI" => run_sync(MachineConfig::wbi(n), grain.refs(), sync_tasks),
-        "CBL" => run_sync(MachineConfig::cbl(n), grain.refs(), sync_tasks),
-        "Q-WBI" => run_work_queue_strong(MachineConfig::wbi(n), grain, total),
-        "Q-backoff" => run_work_queue_strong(MachineConfig::wbi_backoff(n), grain, total),
-        "Q-CBL" => run_work_queue_strong(MachineConfig::cbl(n), grain, total),
-        other => unreachable!("unknown series {other}"),
-    }
-}
-
 fn main() {
-    let args = ExpArgs::parse();
-    let ns = if args.quick {
-        NODES_SWEEP_QUICK
-    } else {
-        NODES_SWEEP
-    };
-    let total_tasks = if args.quick { 32 } else { 128 };
-    let sync_tasks = if args.quick { 2 } else { 4 };
-    let grain = Grain::Medium;
-
-    let mut exp = Experiment::new("fig4").seed(args.seed);
-    for &n in ns {
-        for &series in SERIES {
-            exp.point_with(
-                format!("n={n}/{series}"),
-                &[("nodes", n.to_string()), ("series", series.to_string())],
-                move |_| {
-                    PointOutput::from_report(
-                        series_run(series, n, grain, total_tasks, sync_tasks),
-                        |r| vec![("completion".into(), r.completion as f64)],
-                    )
-                },
-            );
-        }
-    }
-    let sweep = exp.run(&args.opts());
-    sweep.expect_ok();
-
-    let mut t = Table::new(
+    ssmp_bench::figures::scaling(
+        "fig4",
+        Grain::Medium,
         "Figure 4: completion time (cycles), medium granularity",
-        SERIES,
+        &[
+            "work-queue: strong scaling (128-task problem); sync model: 4 tasks/node",
+            "expected: Q-WBI explodes >16 nodes; Q-backoff grows slower but still fails; Q-CBL near-flat; WBI≈CBL at the bottom",
+        ],
     );
-    for &n in ns {
-        t.row(
-            format!("n={n}"),
-            SERIES
-                .iter()
-                .map(|s| sweep.value(&format!("n={n}/{s}"), "completion"))
-                .collect(),
-        );
-    }
-    t.note("work-queue: strong scaling (128-task problem); sync model: 4 tasks/node");
-    t.note("expected: Q-WBI explodes >16 nodes; Q-backoff grows slower but still fails; Q-CBL near-flat; WBI≈CBL at the bottom");
-    ssmp_bench::maybe_write_svg(&t);
-    args.emit(&[t], &sweep);
 }

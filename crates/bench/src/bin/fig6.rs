@@ -9,59 +9,13 @@
 //!
 //! Usage: `fig6 [--quick] [--json] [--jobs N] [--out FILE] [--svg FILE]`
 
-use ssmp_bench::exp::{ExpArgs, Experiment, PointOutput};
-use ssmp_bench::{run_work_queue_strong, Table, NODES_SWEEP, NODES_SWEEP_QUICK};
-use ssmp_machine::MachineConfig;
 use ssmp_workload::Grain;
 
 fn main() {
-    let args = ExpArgs::parse();
-    let ns = if args.quick {
-        NODES_SWEEP_QUICK
-    } else {
-        NODES_SWEEP
-    };
-    let total_tasks = if args.quick { 32 } else { 128 };
-    let grain = Grain::Fine;
-
-    let mut exp = Experiment::new("fig6").seed(args.seed);
-    for &n in ns {
-        for (scheme, mk) in [
-            (
-                "SC-CBL",
-                MachineConfig::sc_cbl as fn(usize) -> MachineConfig,
-            ),
-            (
-                "BC-CBL",
-                MachineConfig::bc_cbl as fn(usize) -> MachineConfig,
-            ),
-        ] {
-            exp.point_with(
-                format!("n={n}/{scheme}"),
-                &[("nodes", n.to_string()), ("scheme", scheme.to_string())],
-                move |_| {
-                    PointOutput::from_report(
-                        run_work_queue_strong(mk(n), grain, total_tasks),
-                        |r| vec![("completion".into(), r.completion as f64)],
-                    )
-                },
-            );
-        }
-    }
-    let sweep = exp.run(&args.opts());
-    sweep.expect_ok();
-
-    let mut t = Table::new(
+    ssmp_bench::figures::consistency(
+        "fig6",
+        Grain::Fine,
         "Figure 6: BC-CBL vs SC-CBL, fine granularity (work-queue)",
-        &["SC-CBL", "BC-CBL", "improvement %"],
+        "expected: BC <= SC everywhere; improvement real but modest",
     );
-    for &n in ns {
-        let sc = sweep.value(&format!("n={n}/SC-CBL"), "completion");
-        let bc = sweep.value(&format!("n={n}/BC-CBL"), "completion");
-        let imp = 100.0 * (sc - bc) / sc;
-        t.row(format!("n={n}"), vec![sc, bc, imp]);
-    }
-    t.note("expected: BC <= SC everywhere; improvement real but modest");
-    ssmp_bench::maybe_write_svg(&t);
-    args.emit(&[t], &sweep);
 }

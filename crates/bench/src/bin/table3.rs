@@ -8,13 +8,10 @@
 //! Usage: `table3 [--quick] [--json] [--jobs N] [--out FILE]`
 
 use ssmp_analytic::{Scenario, SyncScheme, Table3, Table3Params};
-use ssmp_bench::exp::{ExpArgs, Experiment, PointOutput, SweepResult};
-use ssmp_bench::scenarios::{one_barrier, parallel_lock, serial_lock};
+use ssmp_bench::exp::{ExpArgs, Experiment, SweepResult};
+use ssmp_bench::scenarios::{table3_points, TABLE3_T_CS as T_CS};
 use ssmp_bench::Table;
-use ssmp_engine::stats::keys;
 use ssmp_machine::MachineConfig;
-
-const T_CS: u64 = 20;
 
 fn analytic_table(ns: &[u64]) -> Table {
     let mut t = Table::new(
@@ -52,51 +49,6 @@ fn analytic_table(ns: &[u64]) -> Table {
     }
     t.note("printed forms: WBI parallel lock 6n²+4n msgs (O(n²)); CBL 6n−3 (O(n))");
     t
-}
-
-/// Registers the six measured points for one node count: parallel-lock,
-/// serial-lock, and one-barrier, each under WBI and CBL.
-fn measured_points(exp: &mut Experiment, n: usize) {
-    for (scenario, scheme) in [
-        ("par", "WBI"),
-        ("par", "CBL"),
-        ("ser", "WBI"),
-        ("ser", "CBL"),
-        ("barr", "WBI"),
-        ("barr", "CBL"),
-    ] {
-        exp.point_with(
-            format!("n={n}/{scenario}/{scheme}"),
-            &[
-                ("nodes", n.to_string()),
-                ("scenario", scenario.to_string()),
-                ("scheme", scheme.to_string()),
-            ],
-            move |_| {
-                let cfg = match scheme {
-                    "WBI" => MachineConfig::wbi(n),
-                    _ => MachineConfig::cbl(n),
-                };
-                let msg_prefix = match (scenario, scheme) {
-                    ("barr", "WBI") => keys::MSG_PREFIX,
-                    ("barr", _) => keys::MSG_BAR_PREFIX,
-                    (_, "WBI") => keys::MSG_WBI_PREFIX,
-                    _ => keys::MSG_CBL_PREFIX,
-                };
-                let r = match scenario {
-                    "par" => parallel_lock(cfg, T_CS),
-                    "ser" => serial_lock(cfg, T_CS),
-                    _ => one_barrier(cfg),
-                };
-                PointOutput::from_report(r, |r| {
-                    vec![
-                        ("messages".into(), r.messages(msg_prefix) as f64),
-                        ("cycles".into(), r.completion as f64),
-                    ]
-                })
-            },
-        );
-    }
 }
 
 fn measured_table(ns: &[usize], sweep: &SweepResult) -> Table {
@@ -171,7 +123,7 @@ fn main() {
 
     let mut exp = Experiment::new("table3").seed(args.seed);
     for &n in ns_s {
-        measured_points(&mut exp, n);
+        table3_points(&mut exp, n, MachineConfig::wbi(n), MachineConfig::cbl(n));
     }
     let sweep = exp.run(&args.opts());
     sweep.expect_ok();

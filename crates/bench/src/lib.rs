@@ -7,6 +7,7 @@
 #![warn(missing_docs)]
 
 pub mod exp;
+pub mod figures;
 pub mod plot;
 pub mod results;
 pub mod runner;

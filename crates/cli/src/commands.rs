@@ -834,9 +834,6 @@ fn sweep(f: &Flags) -> Result<(), String> {
             }
         }
         SweepSpec::Table3 { nodes } => {
-            use ssmp_bench::scenarios::{one_barrier, parallel_lock, serial_lock};
-            use ssmp_engine::stats::keys;
-            const T_CS: u64 = 20;
             if profile {
                 // the scenario helpers assemble their machines internally;
                 // use SSMP_PROFILE=1 (process-wide) to profile them
@@ -859,47 +856,10 @@ fn sweep(f: &Flags) -> Result<(), String> {
                     .into());
             }
             for &n in nodes {
-                for (scenario, scheme) in [
-                    ("par", "WBI"),
-                    ("par", "CBL"),
-                    ("ser", "WBI"),
-                    ("ser", "CBL"),
-                    ("barr", "WBI"),
-                    ("barr", "CBL"),
-                ] {
-                    let mut cfg = match scheme {
-                        "WBI" => MachineConfig::wbi(n),
-                        _ => MachineConfig::cbl(n),
-                    };
-                    sim.apply(&mut cfg)?;
-                    exp.point_with(
-                        format!("n={n}/{scenario}/{scheme}"),
-                        &[
-                            ("nodes", n.to_string()),
-                            ("scenario", scenario.to_string()),
-                            ("scheme", scheme.to_string()),
-                        ],
-                        move |_| {
-                            let msg_prefix = match (scenario, scheme) {
-                                ("barr", "WBI") => keys::MSG_PREFIX,
-                                ("barr", _) => keys::MSG_BAR_PREFIX,
-                                (_, "WBI") => keys::MSG_WBI_PREFIX,
-                                _ => keys::MSG_CBL_PREFIX,
-                            };
-                            let r = match scenario {
-                                "par" => parallel_lock(cfg.clone(), T_CS),
-                                "ser" => serial_lock(cfg.clone(), T_CS),
-                                _ => one_barrier(cfg.clone()),
-                            };
-                            PointOutput::from_report(r, |r| {
-                                vec![
-                                    ("messages".into(), r.messages(msg_prefix) as f64),
-                                    ("cycles".into(), r.completion as f64),
-                                ]
-                            })
-                        },
-                    );
-                }
+                let (mut wbi, mut cbl) = (MachineConfig::wbi(n), MachineConfig::cbl(n));
+                sim.apply(&mut wbi)?;
+                sim.apply(&mut cbl)?;
+                ssmp_bench::scenarios::table3_points(&mut exp, n, wbi, cbl);
             }
         }
     }
@@ -936,14 +896,7 @@ fn sweep(f: &Flags) -> Result<(), String> {
                 }
             }
             SweepSpec::Table3 { nodes } => {
-                let cols = [
-                    ("par", "WBI"),
-                    ("par", "CBL"),
-                    ("ser", "WBI"),
-                    ("ser", "CBL"),
-                    ("barr", "WBI"),
-                    ("barr", "CBL"),
-                ];
+                let cols = ssmp_bench::scenarios::TABLE3_POINTS;
                 print!("{:>6}", "n");
                 for (sc, s) in cols {
                     print!(" {:>12}", format!("{sc} {s}"));

@@ -400,9 +400,17 @@ fn str_field<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
 }
 
 fn num_field(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(|v| v.as_u64())
-        .ok_or_else(|| format!("repro: missing numeric field '{key}'"))
+    j.exact_int(key, "an unsigned 64-bit integer")
+        .map_err(|e| format!("repro: {e}"))
+}
+
+fn prob_field(j: &Json, key: &str) -> Result<f64, String> {
+    match j.get(key) {
+        None => Err(format!("repro: missing field '{key}'")),
+        Some(v) => v
+            .as_f64()
+            .ok_or_else(|| format!("repro: field '{key}' is not a number")),
+    }
 }
 
 fn from_json(j: &Json) -> Result<(Scenario, String), String> {
@@ -416,8 +424,8 @@ fn from_json(j: &Json) -> Result<(Scenario, String), String> {
     let fault = match str_field(fj, "mode")? {
         "random" => FaultSpec::Random {
             seed: num_field(fj, "seed")?,
-            dup: fj.get("dup_prob").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            delay: fj.get("delay_prob").and_then(|v| v.as_f64()).unwrap_or(0.0),
+            dup: prob_field(fj, "dup_prob")?,
+            delay: prob_field(fj, "delay_prob")?,
             delay_cycles: num_field(fj, "delay_cycles")?,
         },
         "replay" => {

@@ -1,14 +1,16 @@
-//! Bad trace input at the CLI boundary: the offline readers must answer a
-//! trace the machine could not have written with a diagnostic and exit
-//! code 2, promptly, never by looping until memory runs out or by reading
-//! a rounded number.
+//! Bad input at the CLI boundary: the offline trace readers and the
+//! reproducer reader must answer a file the machine could not have
+//! written with a diagnostic and exit code 2, promptly, never by looping
+//! until memory runs out or by reading a rounded number.
 //!
 //! The machine never reuses a span transaction id or injects a wire
 //! twice, so a repeated `span-begin` or `net-inject` means a corrupt or
 //! concatenated file. Left unchecked, the second span of the id becomes
 //! its own critical-path parent and the path walk never ends, and a fold
 //! counts every event twice. It writes every number as an exact integer,
-//! so a sign, a fraction or an out-of-range value means the same.
+//! so a sign, a fraction or an out-of-range value means the same. A
+//! reproducer field that cannot be read must not turn into a default:
+//! the replay would run some other scenario.
 
 mod common;
 
@@ -125,4 +127,35 @@ fn a_number_that_is_not_an_exact_integer_is_rejected() {
         &format!("line 1: {field}"),
     );
     std::fs::remove_file(p).ok();
+}
+
+/// A reproducer of a random-mode fuzz scenario (the plan before
+/// shrinking), with `TASKS` and `DUP` left to fill in.
+const RANDOM_REPRO: &str = concat!(
+    r#"{"schema":"ssmp-repro-v1","workload":"work-queue","config":"cbl","nodes":2,"#,
+    r#""grain":"fine","tasks":TASKS,"seed":7,"retry":false,"max_cycles":200000,"#,
+    r#""signature":"deadlock","faults":{"mode":"random","seed":1,"#,
+    r#""dup_prob":DUP,"delay_prob":0.1,"delay_cycles":200}}"#
+);
+
+/// `run --repro` rejects the reproducer with `tasks` and `dup` filled in
+/// (written to temp file `file`), naming the field.
+fn assert_repro_rejected(file: &str, tasks: &str, dup: &str, names: &str) {
+    let (p, path) = tmp(file);
+    let repro = RANDOM_REPRO.replace("TASKS", tasks).replace("DUP", dup);
+    std::fs::write(&p, repro).unwrap();
+    assert_rejected(&[&["run", "--repro", &path]], names);
+    std::fs::remove_file(p).ok();
+}
+
+#[test]
+fn a_reproducer_probability_that_is_not_a_number_is_rejected() {
+    let names = "repro: field 'dup_prob' is not a number";
+    assert_repro_rejected("wordy-prob-repro.json", "8", r#""lots""#, names);
+}
+
+#[test]
+fn a_reproducer_integer_that_is_not_exact_is_rejected() {
+    let names = "repro: field 'tasks' is not an unsigned 64-bit integer: 8.0";
+    assert_repro_rejected("inexact-tasks-repro.json", "8.0", "0.05", names);
 }

@@ -24,12 +24,10 @@
 //! machine's provenance oracle learns the written value before any
 //! pushed copy can be read.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use ssmp_core::addr::NodeId;
-use ssmp_core::line::BlockData;
-use ssmp_core::msg::{Endpoint, Msg};
+use ssmp_core::msg::Endpoint;
 
+use crate::home::{self, Home};
 use crate::{CohEffect, CohKind, CohMsg, CohOutbox, CoherenceProtocol};
 
 /// Dragon message kinds.
@@ -94,12 +92,6 @@ pub enum DragonState {
     Mod,
 }
 
-#[derive(Debug, Clone)]
-struct NodeLine {
-    state: DragonState,
-    data: BlockData,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Txn {
     Read,
@@ -107,52 +99,37 @@ enum Txn {
     UpdFill { word: u8, value: u64 },
 }
 
-#[derive(Debug)]
-struct Pending {
-    txn: Txn,
-    requester: NodeId,
-    acks_left: usize,
+/// One shared block under the Dragon write-update protocol.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DragonBlock {
+    home: Home<DragonState, Txn>,
 }
 
-/// One shared block under the Dragon write-update protocol.
-#[derive(Debug)]
-pub struct DragonBlock {
-    block_words: u32,
-    mem: BlockData,
-    lines: BTreeMap<NodeId, NodeLine>,
-    busy: Option<Pending>,
-    queue: VecDeque<(NodeId, Txn)>,
+/// Whether `s` is a sole copy, which a store hits silently.
+fn exclusive(s: DragonState) -> bool {
+    matches!(s, DragonState::Excl | DragonState::Mod)
 }
 
 impl DragonBlock {
     /// A block of `block_words` words.
     pub fn new(block_words: u8) -> Self {
         Self {
-            block_words: block_words.into(),
-            mem: BlockData::new(block_words),
-            lines: BTreeMap::new(),
-            busy: None,
-            queue: VecDeque::new(),
+            home: Home::new(block_words),
         }
     }
 
     fn excl_owner(&self) -> Option<NodeId> {
-        self.lines
-            .iter()
-            .find(|(_, l)| matches!(l.state, DragonState::Excl | DragonState::Mod))
-            .map(|(n, _)| *n)
+        self.home.holders(exclusive).next()
     }
 
-    /// Sends `kind` from the home to `node`, with the block when `block`.
-    fn send(&self, node: NodeId, kind: DragonKind, block: bool, out: &mut CohOutbox) {
-        let words = if block { self.block_words } else { 1 };
-        out.data(Endpoint::Dir, Endpoint::Node(node), words, kind);
+    fn admit(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
+        if let Some(txn) = self.home.admit(node, txn) {
+            self.begin(node, txn, out);
+        }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
-        if self.busy.is_some() {
-            self.queue.push_back((node, txn));
-        } else {
+    fn pump(&mut self, out: &mut CohOutbox) {
+        while let Some((node, txn)) = self.home.next_queued() {
             self.begin(node, txn, out);
         }
     }
@@ -161,12 +138,8 @@ impl DragonBlock {
         // an exclusive copy elsewhere must be recalled first, whatever
         // the transaction; it comes back downgraded to Sc, never gone.
         if let Some(o) = self.excl_owner().filter(|&o| o != node) {
-            self.busy = Some(Pending {
-                txn,
-                requester: node,
-                acks_left: 1,
-            });
-            self.send(o, DragonKind::Fetch, false, out);
+            self.home.wait(node, txn, 1);
+            self.home.send(o, DragonKind::Fetch, false, out);
             return;
         }
         match txn {
@@ -178,19 +151,16 @@ impl DragonBlock {
 
     fn serve_read_now(&mut self, node: NodeId, out: &mut CohOutbox) {
         // (a node re-reading a block it still holds is served defensively)
-        let kind = if self.lines.contains_key(&node) {
+        let kind = if self.home.lines.contains_key(&node) {
             DragonKind::FillShared
+        } else if self.home.lines.is_empty() {
+            self.home.install(node, DragonState::Excl);
+            DragonKind::FillExcl
         } else {
-            let (state, kind) = if self.lines.is_empty() {
-                (DragonState::Excl, DragonKind::FillExcl)
-            } else {
-                (DragonState::Sc, DragonKind::FillShared)
-            };
-            let data = self.mem.clone();
-            self.lines.insert(node, NodeLine { state, data });
-            kind
+            self.home.install(node, DragonState::Sc);
+            DragonKind::FillShared
         };
-        self.send(node, kind, true, out);
+        self.home.send(node, kind, true, out);
     }
 
     /// The write serialization point: home memory takes the word, the
@@ -206,20 +176,19 @@ impl DragonBlock {
         filling: bool,
         out: &mut CohOutbox,
     ) {
-        self.mem.set(word, value);
+        self.home.mem.set(word, value);
         out.effect(CohEffect::StoreSerialized { node, word, value });
-        let others = self.lines.keys().filter(|&&n| n != node).count();
+        let others = self.home.lines.keys().filter(|&&n| n != node).count();
         if filling {
             let state = if others == 0 {
                 DragonState::Mod
             } else {
                 DragonState::Sm
             };
-            let data = self.mem.clone();
-            self.lines.insert(node, NodeLine { state, data });
+            self.home.install(node, state);
         }
         if others == 0 {
-            if let Some(line) = self.lines.get_mut(&node) {
+            if let Some(line) = self.home.lines.get_mut(&node) {
                 // sole holder: promote in place (Sc/Sm writer whose
                 // co-sharers have since been recalled)
                 line.state = DragonState::Mod;
@@ -229,10 +198,10 @@ impl DragonBlock {
                 value,
                 sole: true,
             };
-            self.send(node, done, filling, out);
+            self.home.send(node, done, filling, out);
             return;
         }
-        for (&o, line) in self.lines.iter_mut() {
+        for (&o, line) in self.home.lines.iter_mut() {
             if o == node {
                 line.state = DragonState::Sm;
                 continue;
@@ -248,58 +217,31 @@ impl DragonBlock {
         } else {
             Txn::Upd { word, value }
         };
-        self.busy = Some(Pending {
-            txn,
-            requester: node,
-            acks_left: others,
-        });
-    }
-
-    fn pump_queue(&mut self, out: &mut CohOutbox) {
-        while self.busy.is_none() {
-            let Some((node, txn)) = self.queue.pop_front() else {
-                break;
-            };
-            self.begin(node, txn, out);
-        }
+        self.home.wait(node, txn, others);
     }
 }
 
 impl CoherenceProtocol for DragonBlock {
     fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
-        self.lines.get(&node).map(|l| l.data.get(word))
+        self.home.local_read(node, word)
     }
 
     fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool {
-        match self.lines.get_mut(&node) {
-            Some(line) if line.state == DragonState::Mod => {
-                line.data.set(word, value);
-                true
-            }
-            Some(line) if line.state == DragonState::Excl => {
-                line.state = DragonState::Mod;
-                line.data.set(word, value);
-                true
-            }
-            _ => false,
-        }
+        self.home
+            .local_write(node, word, value, exclusive, DragonState::Mod)
     }
 
     fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![Msg::ctl(
-            Endpoint::Node(node),
-            Endpoint::Dir,
-            DragonKind::Rd,
-        )]
+        home::request(node, DragonKind::Rd)
     }
 
     fn write_req(&mut self, node: NodeId, word: u8, value: u64) -> Vec<CohMsg> {
-        let kind = if self.lines.contains_key(&node) {
+        let kind = if self.home.lines.contains_key(&node) {
             DragonKind::Upd { word, value }
         } else {
             DragonKind::UpdFill { word, value }
         };
-        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        home::request(node, kind)
     }
 
     fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox) {
@@ -307,46 +249,46 @@ impl CoherenceProtocol for DragonBlock {
             panic!("Dragon backend delivered a foreign message: {:?}", msg.kind);
         };
         match (kind, msg.src, msg.dst) {
-            (DragonKind::Rd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, out)
-            }
+            (DragonKind::Rd, Endpoint::Node(n), Endpoint::Dir) => self.admit(n, Txn::Read, out),
             (DragonKind::Upd { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Upd { word, value }, out)
+                self.admit(n, Txn::Upd { word, value }, out)
             }
             (DragonKind::UpdFill { word, value }, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::UpdFill { word, value }, out)
+                self.admit(n, Txn::UpdFill { word, value }, out)
             }
             (DragonKind::Fetch, _, Endpoint::Node(n)) => {
                 let me = Endpoint::Node(n);
-                if let Some(line) = self.lines.get_mut(&n) {
-                    self.mem = line.data.clone();
+                if let Some(line) = self.home.lines.get_mut(&n) {
+                    self.home.mem = line.data.clone();
                     line.state = DragonState::Sc;
                     out.effect(CohEffect::Downgraded { node: n });
-                    out.data(me, Endpoint::Dir, self.block_words, DragonKind::OwnerData);
+                    out.data(
+                        me,
+                        Endpoint::Dir,
+                        self.home.block_words,
+                        DragonKind::OwnerData,
+                    );
                 } else {
                     out.ctl(me, Endpoint::Dir, DragonKind::FetchMiss);
                 }
             }
             (DragonKind::OwnerData | DragonKind::FetchMiss, _, Endpoint::Dir) => {
-                let p = self.busy.take().expect("writeback with no transaction");
+                let p = self.home.finish();
                 // the old owner is Sc now; re-dispatch the blocked request
                 self.begin(p.requester, p.txn, out);
-                self.pump_queue(out);
+                self.pump(out);
             }
             (DragonKind::UpdPush { word, value }, _, Endpoint::Node(n)) => {
-                if let Some(line) = self.lines.get_mut(&n) {
+                if let Some(line) = self.home.lines.get_mut(&n) {
                     line.data.set(word, value);
                     out.effect(CohEffect::UpdateApplied { node: n, word });
                 }
                 out.ctl(Endpoint::Node(n), Endpoint::Dir, DragonKind::UpdAck);
             }
             (DragonKind::UpdAck, _, Endpoint::Dir) => {
-                let p = self.busy.as_mut().expect("UpdAck with no transaction");
-                p.acks_left -= 1;
-                if p.acks_left > 0 {
+                let Some(p) = self.home.ack() else {
                     return;
-                }
-                let p = self.busy.take().expect("checked above");
+                };
                 let (word, value, filling) = match p.txn {
                     Txn::Upd { word, value } => (word, value, false),
                     Txn::UpdFill { word, value } => (word, value, true),
@@ -357,17 +299,17 @@ impl CoherenceProtocol for DragonBlock {
                     value,
                     sole: false,
                 };
-                self.send(p.requester, done, filling, out);
-                self.pump_queue(out);
+                self.home.send(p.requester, done, filling, out);
+                self.pump(out);
             }
             (DragonKind::UpdDone { word, value, .. }, _, Endpoint::Node(n)) => {
-                if let Some(line) = self.lines.get_mut(&n) {
+                if let Some(line) = self.home.lines.get_mut(&n) {
                     line.data.set(word, value);
                 }
                 out.effect(CohEffect::StoreComplete { node: n });
             }
             (DragonKind::FillShared | DragonKind::FillExcl, _, Endpoint::Node(n)) => {
-                let data = self.lines.get(&n).map_or(&self.mem, |l| &l.data).clone();
+                let data = self.home.fill(n);
                 out.effect(CohEffect::FilledShared { node: n, data });
             }
             (k, src, dst) => panic!("Dragon: misrouted {k:?} from {src:?} to {dst:?}"),
@@ -375,10 +317,7 @@ impl CoherenceProtocol for DragonBlock {
     }
 
     fn coherent_word(&self, word: u8) -> u64 {
-        match self.excl_owner().and_then(|o| self.lines.get(&o)) {
-            Some(line) => line.data.get(word),
-            None => self.mem.get(word),
-        }
+        self.home.coherent_word(self.excl_owner(), word)
     }
 
     fn owner(&self) -> Option<NodeId> {
@@ -386,37 +325,24 @@ impl CoherenceProtocol for DragonBlock {
     }
 
     fn sharers(&self) -> Vec<NodeId> {
-        self.lines
-            .iter()
-            .filter(|(_, l)| matches!(l.state, DragonState::Sc | DragonState::Sm))
-            .map(|(n, _)| *n)
-            .collect()
+        self.home.holders(|s| !exclusive(s)).collect()
     }
 
     fn check_single_writer(&self) -> Result<(), String> {
-        let excl: Vec<NodeId> = self
-            .lines
-            .iter()
-            .filter(|(_, l)| matches!(l.state, DragonState::Excl | DragonState::Mod))
-            .map(|(n, _)| *n)
-            .collect();
+        let excl: Vec<NodeId> = self.home.holders(exclusive).collect();
         if excl.len() > 1 {
             return Err(format!("multiple Excl/Mod copies: {excl:?}"));
         }
+        let lines = self.home.lines.len();
         if let Some(&w) = excl.first() {
-            if self.lines.len() != 1 {
+            if lines != 1 {
                 return Err(format!(
                     "node {w} holds an Excl/Mod copy but {} other lines exist",
-                    self.lines.len() - 1
+                    lines - 1
                 ));
             }
         }
-        let sm: Vec<NodeId> = self
-            .lines
-            .iter()
-            .filter(|(_, l)| l.state == DragonState::Sm)
-            .map(|(n, _)| *n)
-            .collect();
+        let sm: Vec<NodeId> = self.home.holders(|s| s == DragonState::Sm).collect();
         if sm.len() > 1 {
             return Err(format!("multiple Sm copies: {sm:?}"));
         }
@@ -428,22 +354,29 @@ impl CoherenceProtocol for DragonBlock {
     /// multicast leaves a permanently stale word in some cache, the
     /// failure mode invalidate protocols structurally cannot have.
     fn check_quiescent(&self) -> Result<(), String> {
-        if self.busy.is_some() {
+        let Home {
+            mem,
+            lines,
+            busy,
+            queue,
+            ..
+        } = &self.home;
+        if busy.is_some() {
             return Err("transaction still in flight".into());
         }
-        if !self.queue.is_empty() {
-            return Err(format!("{} transactions still queued", self.queue.len()));
+        if !queue.is_empty() {
+            return Err(format!("{} transactions still queued", queue.len()));
         }
-        for (n, line) in &self.lines {
+        for (n, line) in lines {
             match line.state {
                 DragonState::Mod => {}
                 DragonState::Excl => {
-                    if line.data != self.mem {
+                    if line.data != *mem {
                         return Err(format!("node {n}'s Excl copy diverges from memory"));
                     }
                 }
                 DragonState::Sc | DragonState::Sm => {
-                    if line.data != self.mem {
+                    if line.data != *mem {
                         return Err(format!(
                             "node {n}'s shared copy missed an update (stale vs memory)"
                         ));

@@ -17,9 +17,11 @@
 //!   so spinning readers stay cache-resident (the behavior the paper's RIC
 //!   update lists emulate for enrolled readers).
 //!
-//! All three share the machine's message/timing model: a centralized
-//! per-block controller holds memory copy, directory/line state, and the
-//! blocking-transaction queue; [`CohMsg`]s — the shared
+//! All three share the machine's message/timing model and one
+//! centralized per-block home controller (the private `home` module:
+//! memory copy, per-node lines, one blocking transaction and its queue);
+//! each backend adds only its line states, transitions and invariants.
+//! [`CohMsg`]s — the shared
 //! [`ssmp_core::msg::Msg`] envelope around a [`CohKind`] — are timing
 //! tokens (source, destination, payload size, kind) whose data travels
 //! implicitly through the controller.
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod dragon;
+mod home;
 pub mod mesi;
 pub mod wbi;
 
@@ -155,23 +158,25 @@ pub trait CoherenceProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
-    /// Drives a backend to quiescence by delivering every in-flight
-    /// message FIFO, collecting effects.
-    pub(crate) struct Harness {
-        pub b: Box<dyn CoherenceProtocol>,
-        pub wire: std::collections::VecDeque<CohMsg>,
+    /// Drives a backend by delivering every in-flight message FIFO,
+    /// checking single-writer after each delivery and collecting effects.
+    pub(crate) struct Harness<B: ?Sized> {
+        wire: VecDeque<CohMsg>,
         pub effects: Vec<CohEffect>,
+        /// Every message sent so far, requests included.
         pub sent: Vec<CohMsg>,
+        pub b: Box<B>,
     }
 
-    impl Harness {
-        pub fn new(b: Box<dyn CoherenceProtocol>) -> Self {
+    impl<B: CoherenceProtocol + ?Sized> Harness<B> {
+        pub fn new(b: Box<B>) -> Self {
             Self {
-                b,
-                wire: Default::default(),
+                wire: VecDeque::new(),
                 effects: Vec::new(),
                 sent: Vec::new(),
+                b,
             }
         }
 
@@ -201,13 +206,26 @@ mod tests {
             if self.b.local_write(node, word, value) {
                 return;
             }
+            let start = self.effects.len();
             let msgs = self.b.write_req(node, word, value);
             self.send(msgs);
             self.pump();
-            // invalidate backends store locally after the ownership
-            // grant; Dragon already applied the word in-protocol and
-            // its Sm writer correctly refuses the silent write
-            let _ = self.b.local_write(node, word, value);
+            // Dragon completes the store in-protocol; the invalidate
+            // backends store locally after the ownership grant
+            let done = self.effects[start..].contains(&CohEffect::StoreComplete { node });
+            assert!(
+                done || self.b.local_write(node, word, value),
+                "store after ownership"
+            );
+        }
+
+        /// The nodes invalidated so far, in order.
+        pub fn invalidated(&self) -> Vec<NodeId> {
+            let node = |e: &CohEffect| match *e {
+                CohEffect::Invalidated { node } => Some(node),
+                _ => None,
+            };
+            self.effects.iter().filter_map(node).collect()
         }
     }
 

@@ -1,8 +1,8 @@
 //! Snooping MESI: the classic four-state write-invalidate protocol.
 //!
-//! Structure mirrors the WBI directory block — one centralized controller
-//! per shared block holding the memory copy, every node's cache line, and
-//! a blocking transaction slot — but the write path is a *snoop
+//! Built on the same home controller as the WBI directory block — one
+//! per shared block, holding the memory copy, every node's cache line,
+//! and a blocking transaction slot — but the write path is a *snoop
 //! broadcast*: a write transaction interrogates every other node on the
 //! bus (`Inv` to all n-1, wait for all `InvAck`s) whether or not they
 //! hold a copy. That O(n) per-write cost is exactly what the paper's
@@ -21,12 +21,10 @@
 //! serialized against every other transaction. Per-pair FIFO delivery
 //! (the machine's delay model) keeps the two sides consistent.
 
-use std::collections::{BTreeMap, VecDeque};
-
 use ssmp_core::addr::NodeId;
-use ssmp_core::line::BlockData;
-use ssmp_core::msg::{Endpoint, Msg};
+use ssmp_core::msg::Endpoint;
 
+use crate::home::{self, Home, Line};
 use crate::{CohEffect, CohKind, CohMsg, CohOutbox, CoherenceProtocol};
 
 /// Snooping-MESI message kinds.
@@ -71,58 +69,41 @@ enum LineState {
     Modified,
 }
 
-#[derive(Debug, Clone)]
-struct NodeLine {
-    state: LineState,
-    data: BlockData,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Txn {
     Read,
     Write,
 }
 
-#[derive(Debug)]
-struct Pending {
-    txn: Txn,
-    requester: NodeId,
-    acks_left: usize,
-}
-
 /// One shared block under snooping MESI.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MesiBlock {
+    home: Home<LineState, Txn>,
     nodes: usize,
-    block_words: u32,
-    mem: BlockData,
     /// Conservative exclusive-owner tracking: set on every E/M grant.
     /// E holders may silently upgrade to M, so home must recall from
     /// them exactly as it would from a known-dirty owner.
     owner: Option<NodeId>,
-    lines: BTreeMap<NodeId, NodeLine>,
-    busy: Option<Pending>,
-    queue: VecDeque<(NodeId, Txn)>,
 }
 
 impl MesiBlock {
     /// A block of `block_words` words snooped by `nodes` caches.
     pub fn new(block_words: u8, nodes: usize) -> Self {
         Self {
+            home: Home::new(block_words),
             nodes,
-            block_words: block_words.into(),
-            mem: BlockData::new(block_words),
             owner: None,
-            lines: BTreeMap::new(),
-            busy: None,
-            queue: VecDeque::new(),
         }
     }
 
-    fn begin_or_queue(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
-        if self.busy.is_some() {
-            self.queue.push_back((node, txn));
-        } else {
+    fn admit(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
+        if let Some(txn) = self.home.admit(node, txn) {
+            self.begin(node, txn, out);
+        }
+    }
+
+    fn pump(&mut self, out: &mut CohOutbox) {
+        while let Some((node, txn)) = self.home.next_queued() {
             self.begin(node, txn, out);
         }
     }
@@ -130,121 +111,76 @@ impl MesiBlock {
     fn begin(&mut self, node: NodeId, txn: Txn, out: &mut CohOutbox) {
         match (txn, self.owner) {
             (_, Some(o)) if o != node => {
-                self.busy = Some(Pending {
-                    txn,
-                    requester: node,
-                    acks_left: 1,
-                });
+                self.home.wait(node, txn, 1);
                 let shared = txn == Txn::Read;
-                self.send(o, MesiKind::Fetch { shared }, false, out);
+                self.home.send(o, MesiKind::Fetch { shared }, false, out);
             }
             (Txn::Read, _) => self.serve_read_now(node, out),
             (Txn::Write, _) if self.nodes > 1 => {
                 // the snoop: every other cache is interrogated, copy
                 // or not, and the write waits for all of them.
-                self.busy = Some(Pending {
-                    txn,
-                    requester: node,
-                    acks_left: self.nodes - 1,
-                });
+                self.home.wait(node, txn, self.nodes - 1);
                 for o in (0..self.nodes).filter(|&o| o != node) {
-                    self.send(o, MesiKind::Inv, false, out);
+                    self.home.send(o, MesiKind::Inv, false, out);
                 }
             }
             (Txn::Write, _) => self.grant_write(node, out),
         }
     }
 
-    /// Sends `kind` from the home to `node`, with the block when `block`.
-    fn send(&self, node: NodeId, kind: MesiKind, block: bool, out: &mut CohOutbox) {
-        let words = if block { self.block_words } else { 1 };
-        out.data(Endpoint::Dir, Endpoint::Node(node), words, kind);
-    }
-
-    /// Installs memory's copy of the block at `node` in `state`.
-    fn install(&mut self, node: NodeId, state: LineState) {
-        let data = self.mem.clone();
-        self.lines.insert(node, NodeLine { state, data });
-    }
-
     fn serve_read_now(&mut self, node: NodeId, out: &mut CohOutbox) {
         // (a node re-reading a block it still holds is served defensively)
-        let kind = if self.owner == Some(node) || self.lines.contains_key(&node) {
+        let kind = if self.owner == Some(node) || self.home.lines.contains_key(&node) {
             MesiKind::DataShared
-        } else if self.lines.is_empty() {
-            self.install(node, LineState::Exclusive);
+        } else if self.home.lines.is_empty() {
+            self.home.install(node, LineState::Exclusive);
             self.owner = Some(node);
             MesiKind::DataExclClean
         } else {
-            self.install(node, LineState::Shared);
+            self.home.install(node, LineState::Shared);
             MesiKind::DataShared
         };
-        self.send(node, kind, true, out);
+        self.home.send(node, kind, true, out);
     }
 
     fn grant_write(&mut self, node: NodeId, out: &mut CohOutbox) {
         // re-check the copy here, not at request time: a queued upgrader
         // may have been invalidated by the write that ran before it.
         self.owner = Some(node);
-        if let Some(line) = self.lines.get_mut(&node) {
+        if let Some(line) = self.home.lines.get_mut(&node) {
             line.state = LineState::Modified;
-            self.send(node, MesiKind::UpgradeAck, false, out);
+            self.home.send(node, MesiKind::UpgradeAck, false, out);
         } else {
-            self.install(node, LineState::Modified);
-            self.send(node, MesiKind::DataExcl, true, out);
+            self.home.install(node, LineState::Modified);
+            self.home.send(node, MesiKind::DataExcl, true, out);
         }
-    }
-
-    fn pump_queue(&mut self, out: &mut CohOutbox) {
-        while self.busy.is_none() {
-            let Some((node, txn)) = self.queue.pop_front() else {
-                break;
-            };
-            self.begin(node, txn, out);
-        }
-    }
-
-    fn fill_data(&self, node: NodeId) -> BlockData {
-        self.lines.get(&node).map_or(&self.mem, |l| &l.data).clone()
     }
 }
 
 impl CoherenceProtocol for MesiBlock {
     fn local_read(&self, node: NodeId, word: u8) -> Option<u64> {
-        self.lines.get(&node).map(|l| l.data.get(word))
+        self.home.local_read(node, word)
     }
 
+    /// Hits on Modified, and on Exclusive-clean — the E-state payoff: a
+    /// silent upgrade, no bus transaction.
     fn local_write(&mut self, node: NodeId, word: u8, value: u64) -> bool {
-        match self.lines.get_mut(&node) {
-            Some(line) if line.state == LineState::Modified => {
-                line.data.set(word, value);
-                true
-            }
-            Some(line) if line.state == LineState::Exclusive => {
-                // the E-state payoff: silent upgrade, no bus transaction
-                line.state = LineState::Modified;
-                line.data.set(word, value);
-                true
-            }
-            _ => false,
-        }
+        let owned = |s| s != LineState::Shared;
+        self.home
+            .local_write(node, word, value, owned, LineState::Modified)
     }
 
     fn read_req(&mut self, node: NodeId) -> Vec<CohMsg> {
-        vec![Msg::ctl(
-            Endpoint::Node(node),
-            Endpoint::Dir,
-            MesiKind::BusRd,
-        )]
+        home::request(node, MesiKind::BusRd)
     }
 
     fn write_req(&mut self, node: NodeId, _word: u8, _value: u64) -> Vec<CohMsg> {
-        let kind = if self.lines.contains_key(&node) {
+        let kind = if self.home.lines.contains_key(&node) {
             MesiKind::BusUpgr
         } else {
             MesiKind::BusRdx
         };
-        vec![Msg::ctl(Endpoint::Node(node), Endpoint::Dir, kind)]
+        home::request(node, kind)
     }
 
     fn deliver_into(&mut self, msg: CohMsg, out: &mut CohOutbox) {
@@ -253,63 +189,59 @@ impl CoherenceProtocol for MesiBlock {
         };
         match (kind, msg.src, msg.dst) {
             (MesiKind::BusRd, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Read, out);
+                self.admit(n, Txn::Read, out);
             }
             (MesiKind::BusRdx | MesiKind::BusUpgr, Endpoint::Node(n), Endpoint::Dir) => {
-                self.begin_or_queue(n, Txn::Write, out);
+                self.admit(n, Txn::Write, out);
             }
             (MesiKind::Inv, _, Endpoint::Node(n)) => {
-                if self.lines.remove(&n).is_some() {
+                if self.home.lines.remove(&n).is_some() {
                     out.effect(CohEffect::Invalidated { node: n });
                 }
                 out.ctl(Endpoint::Node(n), Endpoint::Dir, MesiKind::InvAck);
             }
             (MesiKind::InvAck, _, Endpoint::Dir) => {
-                let p = self.busy.as_mut().expect("InvAck with no transaction");
-                p.acks_left -= 1;
-                if p.acks_left > 0 {
-                    return;
+                if let Some(p) = self.home.ack() {
+                    self.grant_write(p.requester, out);
+                    self.pump(out);
                 }
-                let p = self.busy.take().expect("checked above");
-                self.grant_write(p.requester, out);
-                self.pump_queue(out);
             }
             (MesiKind::Fetch { shared }, _, Endpoint::Node(n)) => {
                 let me = Endpoint::Node(n);
-                let Some(line) = self.lines.remove(&n) else {
+                let Some(line) = self.home.lines.remove(&n) else {
                     out.ctl(me, Endpoint::Dir, MesiKind::FetchMiss);
                     return;
                 };
-                self.mem = line.data.clone();
+                self.home.mem = line.data.clone();
                 if shared {
                     let state = LineState::Shared;
-                    self.lines.insert(n, NodeLine { state, ..line });
+                    self.home.lines.insert(n, Line { state, ..line });
                     out.effect(CohEffect::Downgraded { node: n });
                 } else {
                     out.effect(CohEffect::Invalidated { node: n });
                 }
                 let reply = MesiKind::OwnerData { downgrade: shared };
-                out.data(me, Endpoint::Dir, self.block_words, reply);
+                out.data(me, Endpoint::Dir, self.home.block_words, reply);
             }
             (MesiKind::OwnerData { .. } | MesiKind::FetchMiss, _, Endpoint::Dir) => {
                 self.owner = None;
-                let p = self.busy.take().expect("writeback with no transaction");
+                let p = self.home.finish();
                 match p.txn {
                     Txn::Read => self.serve_read_now(p.requester, out),
                     Txn::Write => self.grant_write(p.requester, out),
                 }
-                self.pump_queue(out);
+                self.pump(out);
             }
             (MesiKind::DataShared | MesiKind::DataExclClean, _, Endpoint::Node(n)) => {
                 out.effect(CohEffect::FilledShared {
                     node: n,
-                    data: self.fill_data(n),
+                    data: self.home.fill(n),
                 });
             }
             (MesiKind::DataExcl, _, Endpoint::Node(n)) => {
                 out.effect(CohEffect::FilledExcl {
                     node: n,
-                    data: self.fill_data(n),
+                    data: self.home.fill(n),
                 });
             }
             (MesiKind::UpgradeAck, _, Endpoint::Node(n)) => {
@@ -320,10 +252,7 @@ impl CoherenceProtocol for MesiBlock {
     }
 
     fn coherent_word(&self, word: u8) -> u64 {
-        match self.owner.and_then(|o| self.lines.get(&o)) {
-            Some(line) => line.data.get(word),
-            None => self.mem.get(word),
-        }
+        self.home.coherent_word(self.owner, word)
     }
 
     fn owner(&self) -> Option<NodeId> {
@@ -331,28 +260,20 @@ impl CoherenceProtocol for MesiBlock {
     }
 
     fn sharers(&self) -> Vec<NodeId> {
-        self.lines
-            .iter()
-            .filter(|(_, l)| l.state == LineState::Shared)
-            .map(|(n, _)| *n)
-            .collect()
+        self.home.holders(|s| s == LineState::Shared).collect()
     }
 
     fn check_single_writer(&self) -> Result<(), String> {
-        let writable: Vec<NodeId> = self
-            .lines
-            .iter()
-            .filter(|(_, l)| l.state != LineState::Shared)
-            .map(|(n, _)| *n)
-            .collect();
+        let writable: Vec<NodeId> = self.home.holders(|s| s != LineState::Shared).collect();
         if writable.len() > 1 {
             return Err(format!("multiple E/M copies: {writable:?}"));
         }
+        let lines = &self.home.lines;
         if let Some(&w) = writable.first() {
-            if self.lines.len() != 1 {
+            if lines.len() != 1 {
                 return Err(format!(
                     "node {w} holds an E/M copy but {} other lines exist",
-                    self.lines.len() - 1
+                    lines.len() - 1
                 ));
             }
             if self.owner != Some(w) {
@@ -366,35 +287,42 @@ impl CoherenceProtocol for MesiBlock {
     }
 
     fn check_quiescent(&self) -> Result<(), String> {
-        if self.busy.is_some() {
+        let Home {
+            mem,
+            lines,
+            busy,
+            queue,
+            ..
+        } = &self.home;
+        if busy.is_some() {
             return Err("transaction still in flight".into());
         }
-        if !self.queue.is_empty() {
-            return Err(format!("{} transactions still queued", self.queue.len()));
+        if !queue.is_empty() {
+            return Err(format!("{} transactions still queued", queue.len()));
         }
         match self.owner {
             Some(o) => {
-                let Some(line) = self.lines.get(&o) else {
+                let Some(line) = lines.get(&o) else {
                     return Err(format!("owner {o} tracked but holds no line"));
                 };
                 if line.state == LineState::Shared {
                     return Err(format!("owner {o} tracked but its line is Shared"));
                 }
-                if self.lines.len() != 1 {
+                if lines.len() != 1 {
                     return Err(format!("owner {o} coexists with other lines"));
                 }
-                if line.state == LineState::Exclusive && line.data != self.mem {
+                if line.state == LineState::Exclusive && line.data != *mem {
                     return Err(format!(
                         "node {o}'s Exclusive-clean copy diverges from memory"
                     ));
                 }
             }
             None => {
-                for (n, line) in &self.lines {
+                for (n, line) in lines {
                     if line.state != LineState::Shared {
                         return Err(format!("untracked E/M copy at node {n}"));
                     }
-                    if line.data != self.mem {
+                    if line.data != *mem {
                         return Err(format!("node {n}'s Shared copy diverges from memory"));
                     }
                 }

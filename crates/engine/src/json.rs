@@ -87,6 +87,20 @@ impl Json {
         }
     }
 
+    /// Reads integer field `field` of an object exactly as written. A
+    /// sign (on an unsigned type), a fraction, an exponent or a value out
+    /// of `T`'s range is an error naming the field, never a rounded or
+    /// clamped number; `what` names the expected type in that error.
+    pub fn exact_int<T: std::str::FromStr>(&self, field: &str, what: &str) -> Result<T, String> {
+        match self.get(field) {
+            None => Err(format!("missing field '{field}'")),
+            Some(Json::Num(tok)) => tok
+                .parse()
+                .map_err(|_| format!("field '{field}' is not {what}: {tok}")),
+            Some(_) => Err(format!("field '{field}' is not a number")),
+        }
+    }
+
     /// The value as an f64, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {

@@ -246,30 +246,16 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-/// Reads integer field `field` exactly as the machine wrote it. A sign
-/// (on an unsigned type), a fraction, an exponent or a value out of
-/// `T`'s range is an error naming the field, never a rounded or clamped
-/// number.
-fn exact_int<T: std::str::FromStr>(doc: &Json, field: &str, what: &str) -> Result<T, String> {
-    match doc.get(field) {
-        None => Err(format!("missing field '{field}'")),
-        Some(Json::Num(tok)) => tok
-            .parse()
-            .map_err(|_| format!("field '{field}' is not {what}: {tok}")),
-        Some(_) => Err(format!("field '{field}' is not a number")),
-    }
-}
-
 /// Parses one JSONL trace record, checking it against the event schema:
 /// required fields present, `cycle`, `id` and `arg` exact unsigned
 /// integers, `node` an exact signed integer, `family` and `kind` drawn
 /// from the known token sets, so the format cannot bit-rot silently.
 pub fn parse_jsonl_event(doc: &Json) -> Result<TraceEvent<String>, String> {
     const UNSIGNED: &str = "an unsigned 64-bit integer";
-    let cycle = exact_int(doc, "cycle", UNSIGNED)?;
-    let node = exact_int(doc, "node", "a signed 64-bit integer")?;
-    let id = exact_int(doc, "id", UNSIGNED)?;
-    let arg = exact_int(doc, "arg", UNSIGNED)?;
+    let cycle = doc.exact_int("cycle", UNSIGNED)?;
+    let node = doc.exact_int("node", "a signed 64-bit integer")?;
+    let id = doc.exact_int("id", UNSIGNED)?;
+    let arg = doc.exact_int("arg", UNSIGNED)?;
     let text = |field: &str| {
         doc.get(field)
             .and_then(Json::as_str)

@@ -100,13 +100,10 @@ pub struct FaultConfig {
     pub dirs: Option<Vec<MsgDir>>,
     /// Restrict faults to departures in `[start, end)` (`None` = always).
     pub window: Option<(Cycle, Cycle)>,
-    /// Guaranteed drops: `(kind, n)` drops the `n`-th matching message of
-    /// `kind` (0-based, counted over the whole run) regardless of the
-    /// probabilities. For tests that need a specific loss.
-    pub forced_drops: Vec<(MsgKind, u64)>,
     /// Guaranteed faults of any kind, applied before the kind/direction/
     /// window filters and the probability draw — the replay half of the
-    /// fuzzer's shrinking loop (see [`FaultPlan::log`]).
+    /// fuzzer's shrinking loop (see [`FaultPlan::log`]), and the one loss
+    /// of [`FaultConfig::drop_nth`].
     pub forced: Vec<ForcedFault>,
 }
 
@@ -123,7 +120,6 @@ impl FaultConfig {
             kinds: None,
             dirs: None,
             window: None,
-            forced_drops: Vec::new(),
             forced: Vec::new(),
         }
     }
@@ -138,9 +134,11 @@ impl FaultConfig {
 
     /// A plan whose only effect is dropping the `n`-th message of `kind`.
     pub fn drop_nth(kind: MsgKind, n: u64) -> Self {
-        let mut c = Self::uniform(0, 0.0, 0.0, 0.0);
-        c.forced_drops.push((kind, n));
-        c
+        Self::replay(vec![ForcedFault {
+            kind,
+            nth: n,
+            op: FaultOp::Drop,
+        }])
     }
 
     /// Checks that every probability lies in `[0, 1]`; returns the name of
@@ -275,9 +273,6 @@ impl FaultPlan {
         self.stats.inspected += 1;
         let n = self.seq[kind_index(kind)];
         self.seq[kind_index(kind)] += 1;
-        if self.cfg.forced_drops.contains(&(kind, n)) {
-            return self.record(kind, n, FaultDecision::Drop);
-        }
         if let Some(f) = self
             .cfg
             .forced

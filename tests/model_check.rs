@@ -1,21 +1,27 @@
-//! Bounded exhaustive model checking of the CBL lock protocol.
+//! Bounded exhaustive model checking of the CBL lock protocol and of the
+//! three coherence backends (WBI, MESI, Dragon).
 //!
 //! Property tests sample interleavings; this harness explores **all** of
-//! them for small configurations — every reachable (queue state, in-flight
-//! message multiset, program counter) vertex under per-(src,dst)-FIFO
-//! delivery — and checks, at every state:
+//! them for small configurations — every reachable (controller state,
+//! in-flight message multiset, program counter) vertex under
+//! per-(src,dst)-FIFO delivery — and checks, at every state:
 //!
-//! * **safety** — the mutual-exclusion invariant;
+//! * **safety** — mutual exclusion for the lock, single-writer for the
+//!   data backends;
 //! * **deadlock freedom** — every non-final state has a successor;
 //! * **termination soundness** — every terminal state has all critical
-//!   sections executed and the queue quiescently free.
+//!   sections executed and the queue quiescently free, or, for a data
+//!   block, passes the backend's quiescence check with a final value
+//!   that some write stored.
 //!
-//! Node programs are `rounds` iterations of `request; (hold); release`,
-//! with both lock modes explored.
+//! Lock programs are `rounds` iterations of `request; (hold); release`,
+//! with both lock modes explored; data programs are short read/write
+//! scripts on one word, run unchanged on every backend.
 
 use std::collections::{HashSet, VecDeque};
 
 use ssmp::core::cbl::{CblEffect, CblMsg, LockQueue};
+use ssmp::core::msg::Msg;
 use ssmp::core::primitive::LockMode;
 
 /// One node's progress through its `request/release` rounds.
@@ -50,20 +56,20 @@ impl State {
                 .iter()
                 .all(|s| s.rounds_left == 0 && !s.holding)
     }
+}
 
-    /// Deliverable message indices: first in-flight per (src, dst) pair.
-    fn deliverable(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        'outer: for (i, m) in self.wire.iter().enumerate() {
-            for e in self.wire.iter().take(i) {
-                if e.src == m.src && e.dst == m.dst {
-                    continue 'outer;
-                }
+/// Deliverable message indices: the first in flight per (src, dst) pair.
+fn deliverable<K>(wire: &VecDeque<Msg<K>>) -> Vec<usize> {
+    let mut out = Vec::new();
+    'outer: for (i, m) in wire.iter().enumerate() {
+        for e in wire.iter().take(i) {
+            if e.src == m.src && e.dst == m.dst {
+                continue 'outer;
             }
-            out.push(i);
         }
-        out
+        out.push(i);
     }
+    out
 }
 
 fn apply_effects(st: &mut State, effects: &[CblEffect]) {
@@ -81,7 +87,7 @@ fn apply_effects(st: &mut State, effects: &[CblEffect]) {
 fn successors(st: &State) -> Vec<State> {
     let mut out = Vec::new();
     // (a) deliver any FIFO-eligible message
-    for i in st.deliverable() {
+    for i in deliverable(&st.wire) {
         let mut next = st.clone();
         let msg = next.wire.remove(i).expect("index valid");
         let (msgs, effects) = next.q.deliver(msg);
@@ -200,27 +206,39 @@ fn reader_writer_two_rounds_exhaustive() {
 }
 
 // ---------------------------------------------------------------------
-// WBI directory protocol: bounded exhaustive exploration
+// Coherence backends (WBI, MESI, Dragon): bounded exhaustive exploration
 // ---------------------------------------------------------------------
 
-mod wbi_check {
+mod coherence_check {
     use std::collections::{HashSet, VecDeque};
+    use std::fmt::Debug;
 
-    use ssmp::wbi::WbiBlock;
     use ssmp_coherence::{CohEffect, CohMsg, CoherenceProtocol};
 
-    /// Each node's program: a list of (is_write, value) accesses to word 0.
+    use super::deliverable;
+
+    /// One access to word 0: `(is_write, value)`.
+    pub type Access = (bool, u64);
+
+    pub const TWO_WRITERS: &[&[Access]] = &[&[(true, 11)], &[(true, 22)]];
+    pub const READER_WRITER: &[&[Access]] = &[&[(false, 0), (false, 0)], &[(true, 7), (true, 8)]];
+    pub const THREE_NODES_MIXED: &[&[Access]] =
+        &[&[(false, 0)], &[(true, 5)], &[(false, 0), (true, 9)]];
+    pub const READ_WRITE_PAIRS: &[&[Access]] =
+        &[&[(false, 0), (true, 3)], &[(true, 4), (false, 0)]];
+
     #[derive(Debug, Clone, PartialEq, Eq)]
-    struct WState {
-        b: WbiBlock,
+    struct State<B> {
+        b: B,
         wire: VecDeque<CohMsg>,
         /// per-node remaining accesses
-        progs: Vec<Vec<(bool, u64)>>,
-        /// per-node outstanding request (waiting for a fill/ownership)
-        waiting: Vec<Option<(bool, u64)>>,
+        progs: Vec<Vec<Access>>,
+        /// per-node outstanding access (waiting for a fill, ownership or
+        /// an in-protocol store)
+        waiting: Vec<Option<Access>>,
     }
 
-    impl WState {
+    impl<B: CoherenceProtocol + Debug> State<B> {
         fn key(&self) -> String {
             format!(
                 "{:?}|{:?}|{:?}|{:?}",
@@ -228,51 +246,43 @@ mod wbi_check {
             )
         }
 
-        fn deliverable(&self) -> Vec<usize> {
-            let mut out = Vec::new();
-            'outer: for (i, m) in self.wire.iter().enumerate() {
-                for e in self.wire.iter().take(i) {
-                    if e.src == m.src && e.dst == m.dst {
-                        continue 'outer;
-                    }
-                }
-                out.push(i);
-            }
-            out
-        }
-
         fn is_final(&self) -> bool {
             self.wire.is_empty()
                 && self.progs.iter().all(|p| p.is_empty())
                 && self.waiting.iter().all(|w| w.is_none())
         }
-    }
 
-    /// Applies fills: a node whose outstanding access completed performs
-    /// the deferred store (if a write).
-    fn apply_effects(st: &mut WState, effects: Vec<CohEffect>) {
-        for e in effects {
-            match e {
-                CohEffect::FilledShared { node, .. } => {
-                    if let Some((false, _)) = st.waiting[node] {
-                        st.waiting[node] = None; // read satisfied
+        /// Completes outstanding accesses: a read on its fill; a write on
+        /// its ownership grant (then performing the deferred store) or, on
+        /// Dragon, when the home reports the store complete.
+        fn apply_effects(&mut self, effects: Vec<CohEffect>) {
+            for e in effects {
+                match e {
+                    CohEffect::FilledShared { node, .. } => {
+                        if let Some((false, _)) = self.waiting[node] {
+                            self.waiting[node] = None;
+                        }
                     }
-                }
-                CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
-                    if let Some((true, v)) = st.waiting[node] {
-                        assert!(st.b.local_write(node, 0, v), "store after ownership");
-                        st.waiting[node] = None;
+                    CohEffect::FilledExcl { node, .. } | CohEffect::UpgradeGranted { node } => {
+                        if let Some((true, v)) = self.waiting[node] {
+                            assert!(self.b.local_write(node, 0, v), "store after ownership");
+                            self.waiting[node] = None;
+                        }
                     }
+                    CohEffect::StoreComplete { node } => {
+                        assert!(matches!(self.waiting[node], Some((true, _))));
+                        self.waiting[node] = None;
+                    }
+                    // invalidations, downgrades and pushes need no action
+                    _ => {}
                 }
-                // invalidations and downgrades need no action here
-                _ => {}
             }
         }
     }
 
-    fn successors(st: &WState) -> Vec<WState> {
+    fn successors<B: CoherenceProtocol + Clone + Debug>(st: &State<B>) -> Vec<State<B>> {
         let mut out = Vec::new();
-        for i in st.deliverable() {
+        for i in deliverable(&st.wire) {
             let mut next = st.clone();
             let m = next.wire.remove(i).expect("valid index");
             let (msgs, effects) = next.b.deliver(m);
@@ -280,7 +290,7 @@ mod wbi_check {
                 .check_single_writer()
                 .expect("single-writer violated");
             next.wire.extend(msgs);
-            apply_effects(&mut next, effects);
+            next.apply_effects(effects);
             out.push(next);
         }
         for node in 0..st.progs.len() {
@@ -309,25 +319,26 @@ mod wbi_check {
         out
     }
 
-    fn explore(progs: Vec<Vec<(bool, u64)>>, mesi: bool, max_states: usize) -> usize {
-        let nodes = progs.len();
-        // the final memory value must be one of the written values (no
-        // invented or lost data): collect the candidate set
+    /// Explores every FIFO delivery order of `progs` on backend `b`; at
+    /// each state single-writer holds, no state but a final one lacks a
+    /// successor, and every terminal state is quiescent with a final
+    /// value (read through `coherent_word`) that some write stored.
+    /// Returns the number of states visited.
+    pub fn explore<B>(b: B, progs: &[&[Access]], max_states: usize) -> usize
+    where
+        B: CoherenceProtocol + Clone + Eq + Debug,
+    {
         let written: Vec<u64> = progs
             .iter()
-            .flatten()
+            .flat_map(|p| p.iter())
             .filter(|(w, _)| *w)
             .map(|(_, v)| *v)
             .collect();
-        let init = WState {
-            b: if mesi {
-                WbiBlock::with_mesi(4)
-            } else {
-                WbiBlock::new(4)
-            },
+        let init = State {
+            b,
             wire: VecDeque::new(),
-            progs,
-            waiting: vec![None; nodes],
+            progs: progs.iter().map(|p| p.to_vec()).collect(),
+            waiting: vec![None; progs.len()],
         };
         let mut visited: HashSet<String> = HashSet::new();
         let mut stack = vec![init];
@@ -343,13 +354,12 @@ mod wbi_check {
             let succ = successors(&st);
             if succ.is_empty() {
                 assert!(st.is_final(), "protocol deadlock: {st:?}");
-                // coherent final value: reconstruct the owner's view
-                let v = (0..nodes)
-                    .find_map(|n| st.b.local_read(n, 0))
-                    .unwrap_or_else(|| st.b.mem().get(0));
+                st.b.check_quiescent()
+                    .unwrap_or_else(|e| panic!("terminal state not quiescent: {e}: {st:?}"));
+                let v = st.b.coherent_word(0);
                 assert!(
-                    v == 0 || written.contains(&v),
-                    "final value {v} was never written"
+                    written.contains(&v),
+                    "final value {v} was never written: {st:?}"
                 );
                 terminals += 1;
             } else {
@@ -359,44 +369,99 @@ mod wbi_check {
         assert!(terminals > 0);
         visited.len()
     }
+}
+
+mod wbi_check {
+    use super::coherence_check::*;
+    use ssmp::wbi::WbiBlock;
 
     #[test]
     fn two_writers_exhaustive() {
-        let states = explore(vec![vec![(true, 11)], vec![(true, 22)]], false, 500_000);
+        let states = explore(WbiBlock::new(4), TWO_WRITERS, 500_000);
         assert!(states > 20, "{states}");
     }
 
     #[test]
     fn reader_writer_exhaustive() {
-        let states = explore(
-            vec![vec![(false, 0), (false, 0)], vec![(true, 7), (true, 8)]],
-            false,
-            2_000_000,
-        );
+        let states = explore(WbiBlock::new(4), READER_WRITER, 2_000_000);
         assert!(states > 50, "{states}");
     }
 
     #[test]
     fn three_nodes_mixed_exhaustive() {
-        let states = explore(
-            vec![
-                vec![(false, 0)],
-                vec![(true, 5)],
-                vec![(false, 0), (true, 9)],
-            ],
-            false,
-            5_000_000,
-        );
+        let states = explore(WbiBlock::new(4), THREE_NODES_MIXED, 5_000_000);
         assert!(states > 100, "{states}");
     }
 
     #[test]
     fn mesi_two_nodes_exhaustive() {
-        let states = explore(
-            vec![vec![(false, 0), (true, 3)], vec![(true, 4), (false, 0)]],
-            true,
-            2_000_000,
-        );
+        let states = explore(WbiBlock::with_mesi(4), READ_WRITE_PAIRS, 2_000_000);
+        assert!(states > 50, "{states}");
+    }
+}
+
+mod mesi_check {
+    use super::coherence_check::*;
+    use ssmp_coherence::MesiBlock;
+
+    fn mesi(progs: &[&[Access]]) -> usize {
+        explore(MesiBlock::new(4, progs.len()), progs, 2_000_000)
+    }
+
+    #[test]
+    fn two_writers_exhaustive() {
+        let states = mesi(TWO_WRITERS);
+        assert!(states > 20, "{states}");
+    }
+
+    #[test]
+    fn reader_writer_exhaustive() {
+        let states = mesi(READER_WRITER);
+        assert!(states > 50, "{states}");
+    }
+
+    #[test]
+    fn three_nodes_mixed_exhaustive() {
+        let states = mesi(THREE_NODES_MIXED);
+        assert!(states > 100, "{states}");
+    }
+
+    #[test]
+    fn two_nodes_exhaustive() {
+        let states = mesi(READ_WRITE_PAIRS);
+        assert!(states > 50, "{states}");
+    }
+}
+
+mod dragon_check {
+    use super::coherence_check::*;
+    use ssmp_coherence::DragonBlock;
+
+    fn dragon(progs: &[&[Access]]) -> usize {
+        explore(DragonBlock::new(4), progs, 2_000_000)
+    }
+
+    #[test]
+    fn two_writers_exhaustive() {
+        let states = dragon(TWO_WRITERS);
+        assert!(states > 20, "{states}");
+    }
+
+    #[test]
+    fn reader_writer_exhaustive() {
+        let states = dragon(READER_WRITER);
+        assert!(states > 50, "{states}");
+    }
+
+    #[test]
+    fn three_nodes_mixed_exhaustive() {
+        let states = dragon(THREE_NODES_MIXED);
+        assert!(states > 100, "{states}");
+    }
+
+    #[test]
+    fn two_nodes_exhaustive() {
+        let states = dragon(READ_WRITE_PAIRS);
         assert!(states > 50, "{states}");
     }
 }
