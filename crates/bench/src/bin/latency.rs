@@ -153,10 +153,11 @@ fn main() {
                     // point: exact-sum segments and a clean stitch.
                     for sp in spans.closed.values() {
                         let sum: u64 = sp.segments.iter().sum();
+                        let ty = spans.type_name(sp);
                         assert_eq!(
                             sum, sp.dur,
-                            "txn {} ({}): segments sum {} != e2e {}",
-                            sp.txn, sp.detail, sum, sp.dur
+                            "txn {} ({ty}): segments sum {} != e2e {}",
+                            sp.txn, sum, sp.dur
                         );
                     }
                     let h = spans.health();

@@ -45,19 +45,39 @@ impl std::error::Error for JsonError {}
 
 /// Escapes a string for embedding inside JSON quotes.
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    Escaped(s).to_string()
+}
+
+/// A string escaped for embedding inside JSON quotes, written straight
+/// into whatever formats it, so escaping needs no `String` of its own.
+pub(crate) struct Escaped<'a>(pub &'a str);
+
+impl fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        // Every byte that needs an escape is ASCII, so each one sits on a
+        // char boundary and the runs between them are written unchanged.
+        let mut run = 0;
+        for (i, &b) in s.as_bytes().iter().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            f.write_str(&s[run..i])?;
+            if esc.is_empty() {
+                write!(f, "\\u{b:04x}")?;
+            } else {
+                f.write_str(esc)?;
+            }
+            run = i + 1;
         }
+        f.write_str(&s[run..])
     }
-    out
 }
 
 impl Json {
@@ -421,6 +441,16 @@ mod tests {
         // \u escapes, including a surrogate pair (U+1F600).
         let v = Json::parse("\"\\u0041\\uD83D\\uDE00\"").unwrap();
         assert_eq!(v.as_str(), Some("A\u{1f600}"));
+    }
+
+    #[test]
+    fn escape_covers_quotes_backslashes_and_control_characters() {
+        let raw = "a\"b\\c\nd\re\tf\u{1}g\u{1f}caf\u{e9}";
+        let escaped = r#"a\"b\\c\nd\re\tf\u0001g\u001fcafé"#;
+        assert_eq!(escape(raw), escaped);
+        let doc = Json::Obj(vec![(raw.to_string(), Json::str(raw))]);
+        assert_eq!(doc.render(), format!("{{\"{escaped}\":\"{escaped}\"}}"));
+        assert_eq!(Json::parse(&doc.render()).unwrap(), doc);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::rc::Rc;
 
-use crate::json::{escape, Json};
+use crate::json::{escape, Escaped, Json};
 use crate::{Cycle, IdMap};
 
 /// Protocol family (or subsystem) an event belongs to.
@@ -215,18 +215,28 @@ pub struct TraceEvent<D = &'static str> {
 }
 
 impl<D: AsRef<str>> TraceEvent<D> {
-    /// Renders the event as one JSONL line (no trailing newline).
-    pub fn to_jsonl(&self) -> String {
-        format!(
+    /// Writes the event as one JSONL line (no trailing newline) straight
+    /// into `out`, escaping the detail in place.
+    pub(crate) fn write_jsonl<W: Write + ?Sized>(&self, out: &mut W) -> io::Result<()> {
+        write!(
+            out,
             "{{\"cycle\":{},\"node\":{},\"family\":\"{}\",\"kind\":\"{}\",\"detail\":\"{}\",\"id\":{},\"arg\":{}}}",
             self.cycle,
             self.node,
             self.family.token(),
             self.kind.token(),
-            escape(self.detail.as_ref()),
+            Escaped(self.detail.as_ref()),
             self.id,
             self.arg
         )
+    }
+
+    /// Renders the event as one JSONL line (no trailing newline).
+    pub fn to_jsonl(&self) -> String {
+        let mut line = Vec::new();
+        self.write_jsonl(&mut line)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(line).expect("a JSONL line is UTF-8")
     }
 }
 
@@ -476,7 +486,8 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        if let Err(e) = writeln!(self.out, "{}", ev.to_jsonl()) {
+        let line = ev.write_jsonl(&mut self.out);
+        if let Err(e) = line.and_then(|()| self.out.write_all(b"\n")) {
             self.error = Some(e);
         }
     }
@@ -884,14 +895,26 @@ mod tests {
 
     #[test]
     fn jsonl_lines_validate() {
+        let events = [
+            ev(7, 2, Kind::NetInject),
+            ev(9, -1, Kind::Fault),
+            TraceEvent {
+                detail: "tab\there \"quoted\"",
+                ..ev(11, 0, Kind::Issue)
+            },
+        ];
         let mut buf = Vec::new();
         {
             let mut s = JsonlSink::new(&mut buf);
-            s.record(&ev(7, 2, Kind::NetInject));
-            s.record(&ev(9, -1, Kind::Fault));
+            for e in &events {
+                s.record(e);
+            }
             s.finish().unwrap();
         }
         let text = String::from_utf8(buf).unwrap();
+        let lines: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
+        assert_eq!(text, lines, "the sink writes the bytes of to_jsonl");
+        assert!(text.contains(r#""detail":"tab\there \"quoted\"""#));
         for line in text.lines() {
             let doc = Json::parse(line).unwrap();
             parse_jsonl_event(&doc).unwrap();

@@ -21,7 +21,7 @@
 //! that the paper identifies as WBI's scalability problem.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::rc::Rc;
 
 use ssmp_coherence::{
@@ -39,8 +39,8 @@ use ssmp_core::semaphore::{HwSemaphore, SemEffect, SemKind};
 use ssmp_core::wbuf::Enqueue;
 use ssmp_engine::trace::{Family, Kind, TraceEvent, TraceFilter, TraceSink, Tracer};
 use ssmp_engine::{
-    CounterId, CounterSet, Cycle, Histogram, IntervalSeries, SimRng, Watchdog, WatchdogVerdict,
-    WheelQueue,
+    CounterId, CounterSet, Cycle, Histogram, IdMap, IntervalSeries, SimRng, Watchdog,
+    WatchdogVerdict, WheelQueue,
 };
 use ssmp_mem::{MemModule, PrivAccess, PrivCache, PrivateModel, PrivateOutcome};
 use ssmp_net::{FaultDecision, FaultPlan, FaultyInterconnect, Interconnect, MsgDir, MsgKind};
@@ -241,9 +241,9 @@ pub struct Machine {
     txn_ctr: u64,
     /// Wire id → owning span transaction. Consumed at delivery so the
     /// messages a delivery routes inherit the requester's transaction.
-    /// Filled and read only while the tracer is on. Lookup-only (never
-    /// iterated): determinism-safe as a HashMap.
-    wire_txn: HashMap<u64, u64>,
+    /// Filled and read only while the tracer is on. Wire ids are dense
+    /// from 1, so this is a paged table rather than a hash map.
+    wire_txn: IdMap<u64>,
     /// Transaction that caused the delivery currently being processed
     /// (0 = none); wires routed while it is set are linked to it.
     cause: u64,
@@ -547,7 +547,7 @@ impl Machine {
             profile: None,
             spans: None,
             txn_ctr: 0,
-            wire_txn: HashMap::new(),
+            wire_txn: IdMap::new(),
             cause: 0,
             span_node: None,
             span_pending: Vec::new(),
@@ -1252,7 +1252,7 @@ impl Machine {
         // (dedup'd below) cannot re-link. Only a traced run links wires,
         // so an untraced one skips the map.
         self.cause = if self.tracer.is_on() {
-            self.wire_txn.remove(&id).unwrap_or(0)
+            self.wire_txn.remove(id).unwrap_or(0)
         } else {
             0
         };
@@ -2073,7 +2073,8 @@ impl Machine {
     /// opened to `txn` (emitting the `Link` events after the span's
     /// `SpanBegin`, which the stitcher requires).
     fn flush_span_pending(&mut self, txn: u64, now: Cycle, node: NodeId) {
-        for (id, family) in std::mem::take(&mut self.span_pending) {
+        let mut pending = std::mem::take(&mut self.span_pending);
+        for (id, family) in pending.drain(..) {
             self.wire_txn.insert(id, txn);
             self.tracer.emit(TraceEvent {
                 cycle: now,
@@ -2085,6 +2086,7 @@ impl Machine {
                 arg: txn,
             });
         }
+        self.span_pending = pending;
     }
 
     /// Runs a node-level action under span attribution: wires it routes

@@ -209,7 +209,9 @@ pub struct Profile {
     pub locks: BTreeMap<u64, LockProfile>,
     /// RIC list churn, keyed by shared block id.
     pub ric: BTreeMap<u64, RicProfile>,
-    open_stalls: BTreeMap<i64, (Cycle, String)>,
+    /// Per node, the attribution bucket of its open stall, picked by the
+    /// `StallBegin` tag.
+    open_stalls: BTreeMap<i64, &'static str>,
     open_writes: BTreeMap<(i64, u64), Cycle>,
 }
 
@@ -285,18 +287,18 @@ impl Profile {
                 _ => {}
             },
             Kind::StallBegin => {
-                self.open_stalls.insert(node, (cycle, detail.to_string()));
+                self.open_stalls.insert(node, stall_bucket(detail));
             }
             Kind::StallEnd => {
                 // `arg` carries the machine-computed stall duration — the
                 // exact quantity accumulated into the node's stalled-cycle
                 // counter — so the bucket sum matches the report exactly.
-                let tag = match self.open_stalls.remove(&node) {
-                    Some((_, tag)) => tag,
-                    None => detail.to_string(),
-                };
+                let bucket = self
+                    .open_stalls
+                    .remove(&node)
+                    .unwrap_or_else(|| stall_bucket(detail));
                 let n = self.nodes.entry(node).or_default();
-                *n.stalls.entry(stall_bucket(&tag)).or_insert(0) += arg;
+                *n.stalls.entry(bucket).or_insert(0) += arg;
                 n.stall_total += arg;
             }
             Kind::LockAcquire => {

@@ -86,9 +86,11 @@ struct WireInfo {
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct OpenSpan {
     node: i64,
-    detail: String,
+    /// Index of the span's type in [`SpanSet::types`].
+    ty: usize,
     begin: Cycle,
-    /// Wires linked to this transaction, in link order.
+    /// Wires linked to this transaction, in link order (a buffer from
+    /// [`SpanSet::wire_lists`], returned there at close).
     wires: Vec<u64>,
 }
 
@@ -97,8 +99,8 @@ struct OpenSpan {
 struct NodeLog {
     /// Delivery history `(cycle, wire)` in stream order.
     delivered: Vec<(Cycle, u64)>,
-    /// Closed spans `(end, txn)` in close order (ends are monotone, so
-    /// this is binary-searchable).
+    /// Closed spans `(end, txn)` in close order (ends are monotone in
+    /// stream order, so this is sorted by end).
     closed: Vec<(Cycle, u64)>,
 }
 
@@ -108,17 +110,16 @@ fn node_key(node: i64) -> u64 {
     node.wrapping_add(1) as u64
 }
 
-/// A finished transaction span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A finished transaction span. It owns no heap memory: its type name
+/// lives once in the span set that closed it ([`SpanSet::type_name`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClosedSpan {
     /// Transaction id (machine-allocated, unique per run).
     pub txn: u64,
     /// The node the transaction ran on.
     pub node: i64,
-    /// Transaction type: the stall cause tag (`"fill"`, `"lock"`,
-    /// `"flush.cp-synch"`, ...), `"wbuf.write"` for buffered global
-    /// writes, or the op name for fire-and-forget sends.
-    pub detail: String,
+    /// Index of the transaction type in its span set's type table.
+    ty: usize,
     /// Begin cycle.
     pub begin: Cycle,
     /// End cycle.
@@ -131,8 +132,6 @@ pub struct ClosedSpan {
     /// Network-transit cycles per protocol family, indexed like
     /// [`Family::ALL`].
     pub family_net: FamilyCycles,
-    /// Wires owned by (linked to) this transaction.
-    pub wires: Vec<u64>,
     /// A foreign wire whose delivery woke this span (cross-transaction
     /// causal edge), if one was adopted.
     pub adopted_wire: Option<u64>,
@@ -213,6 +212,15 @@ pub struct SpanSet {
     pub closed: IdMap<ClosedSpan>,
     /// Per node, keyed by [`node_key`].
     nodes: IdMap<NodeLog>,
+    /// Transaction types in first-seen order: the stall cause tag
+    /// (`"fill"`, `"lock"`, `"flush.cp-synch"`, ...), `"wbuf.write"` for
+    /// buffered global writes, or the op name for fire-and-forget sends.
+    types: Vec<String>,
+    /// Type name → index in `types`.
+    type_index: BTreeMap<String, usize>,
+    /// Empty wire lists kept for their capacity: a span takes one when it
+    /// opens and returns it when it closes.
+    wire_lists: Vec<Vec<u64>>,
     /// `close`'s buffer for a span's wires in injection order, kept for
     /// its capacity; empty between calls.
     timeline: Vec<(Cycle, u64)>,
@@ -224,6 +232,23 @@ impl SpanSet {
     /// An empty span set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The transaction type of a span this set closed: the stall cause
+    /// tag (`"fill"`, `"lock"`, ...), `"wbuf.write"`, or an op name.
+    pub fn type_name(&self, span: &ClosedSpan) -> &str {
+        &self.types[span.ty]
+    }
+
+    /// The index of type `name`, added to the table on first sight.
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(&ty) = self.type_index.get(name) {
+            return ty;
+        }
+        let ty = self.types.len();
+        self.types.push(name.to_string());
+        self.type_index.insert(name.to_string(), ty);
+        ty
     }
 
     /// Folds one trace event, live (`&'static str` detail) or read back
@@ -273,13 +298,15 @@ impl SpanSet {
                 }
             }
             Kind::SpanBegin => {
+                let ty = self.intern(detail.as_ref());
+                let wires = self.wire_lists.pop().unwrap_or_default();
                 self.open.insert(
                     id,
                     OpenSpan {
                         node,
-                        detail: detail.as_ref().to_string(),
+                        ty,
                         begin: cycle,
-                        wires: Vec::new(),
+                        wires,
                     },
                 );
             }
@@ -298,6 +325,7 @@ impl SpanSet {
         };
         let (node, begin) = (o.node, o.begin);
         let dur = end.saturating_sub(begin);
+        let detail = self.types[o.ty].as_str();
 
         // Adoption: the latest wire delivered to this node inside the
         // span window. If it is foreign, *its* transaction caused the
@@ -307,7 +335,7 @@ impl SpanSet {
             .nodes
             .get_or_insert_with(node_key(node), NodeLog::default);
         let mut adopted_wire = None;
-        if adoptable(&o.detail, dur) {
+        if adoptable(detail, dur) {
             for &(c, w) in log.delivered.iter().rev() {
                 if c > end {
                     continue;
@@ -340,14 +368,12 @@ impl SpanSet {
                 .iter()
                 .filter_map(|&w| self.wires.get(w).map(|i| (i.inject, w))),
         );
+        span_wires.clear();
+        self.wire_lists.push(span_wires);
         timeline.sort_unstable();
         let mut segments = Segments::default();
         let mut family_net = FamilyCycles::default();
-        let first_gap = if o.detail == "wbuf.write" {
-            WBUF
-        } else {
-            ISSUE
-        };
+        let first_gap = if detail == "wbuf.write" { WBUF } else { ISSUE };
         let mut cursor = begin;
         let mut prev: Option<Family> = None;
         for &(inject, w) in &timeline {
@@ -380,9 +406,14 @@ impl SpanSet {
         // Critical-path DP over program-order and causal edges. Ends
         // are monotone in stream order, so the per-node history is
         // sorted and the program-order predecessor (latest span on this
-        // node ending at or before `begin`) is a binary search away.
-        let idx = log.closed.partition_point(|&(e, _)| e <= begin);
-        let prog_parent = idx.checked_sub(1).map(|i| log.closed[i].1);
+        // node ending at or before `begin`) is the first one found
+        // scanning back from the newest; it is usually the newest itself.
+        let prog_parent = log
+            .closed
+            .iter()
+            .rev()
+            .find(|&&(e, _)| e <= begin)
+            .map(|&(_, t)| t);
         log.closed.push((end, txn));
         let parent_dist = |p: Option<u64>| -> Option<(Cycle, u64)> {
             let p = p?;
@@ -403,13 +434,12 @@ impl SpanSet {
             ClosedSpan {
                 txn,
                 node,
-                detail: o.detail,
+                ty: o.ty,
                 begin,
                 end,
                 dur,
                 segments,
                 family_net,
-                wires: span_wires,
                 adopted_wire,
                 prog_parent,
                 causal_parent,
@@ -441,7 +471,7 @@ impl SpanSet {
     pub fn latencies_by_type(&self) -> BTreeMap<&str, Vec<u64>> {
         let mut m: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
         for s in self.closed.values() {
-            m.entry(&s.detail).or_default().push(s.dur);
+            m.entry(self.type_name(s)).or_default().push(s.dur);
         }
         for v in m.values_mut() {
             v.sort_unstable();
@@ -532,7 +562,10 @@ impl SpanSet {
         let by_type = self.latencies_by_type();
         let mut type_segments: BTreeMap<&str, Segments> = BTreeMap::new();
         for s in self.closed.values() {
-            add(type_segments.entry(&s.detail).or_default(), &s.segments);
+            add(
+                type_segments.entry(self.type_name(s)).or_default(),
+                &s.segments,
+            );
         }
         let txns: Vec<Json> = by_type
             .iter()
@@ -561,7 +594,7 @@ impl SpanSet {
                 Json::Obj(vec![
                     ("txn".into(), Json::num(s.txn)),
                     ("node".into(), Json::num(s.node)),
-                    ("type".into(), Json::str(s.detail.clone())),
+                    ("type".into(), Json::str(self.type_name(s))),
                     ("begin".into(), Json::num(s.begin)),
                     ("dur".into(), Json::num(s.dur)),
                     ("segments".into(), Self::segments_obj(&s.segments)),
@@ -692,7 +725,7 @@ impl SpanSet {
                 "{:>8} {:>5} {:<16} {:>9} {:>7}  {:>6} {:>6} {:>6} {:>6}",
                 s.txn,
                 s.node,
-                s.detail,
+                self.type_name(s),
                 s.begin,
                 s.dur,
                 s.segments[NET],
@@ -983,6 +1016,27 @@ mod tests {
     }
 
     #[test]
+    fn closed_spans_own_no_heap_memory() {
+        assert!(!std::mem::needs_drop::<ClosedSpan>());
+    }
+
+    #[test]
+    fn spans_of_one_type_share_one_interned_name() {
+        let mut s = SpanSet::new();
+        for (b, e, t) in [(10u64, 20u64, 1u64), (25, 45, 2)] {
+            s.fold(&ev(b, 0, Family::Node, Kind::SpanBegin, "fill", t, 0));
+            s.fold(&ev(e, 0, Family::Node, Kind::SpanEnd, "fill", t, e - b));
+        }
+        s.fold(&ev(50, 0, Family::Node, Kind::SpanBegin, "lock", 3, 0));
+        s.fold(&ev(60, 0, Family::Node, Kind::SpanEnd, "lock", 3, 10));
+        assert_eq!(s.types, ["fill", "lock"]);
+        let (a, b) = (s.type_name(&s.closed[1]), s.type_name(&s.closed[2]));
+        assert_eq!(a, "fill");
+        assert!(std::ptr::eq(a, b), "one name for both fill spans");
+        assert_eq!(s.type_name(&s.closed[3]), "lock");
+    }
+
+    #[test]
     fn nearest_rank_is_exact() {
         let v: Vec<u64> = (1..=100).collect();
         assert_eq!(nearest_rank(&v, 0.50), 50);
@@ -1050,7 +1104,6 @@ mod tests {
         ]
         .join("\n");
         let s = SpanSet::from_jsonl(Cursor::new(trace)).unwrap();
-        assert_eq!(s.closed[1 << 60].wires, [u64::MAX]);
         let pinned = concat!(
             r#"{"schema":"ssmp-span-v1","overall":{"count":1,"mean":20,"p50":20,"p95":20,"p99":"#,
             r#"20,"p999":20,"max":20},"txns":[{"type":"fill","count":1,"mean":20,"p50":20,"p95""#,

@@ -148,10 +148,11 @@ fn segments_sum_exactly_to_e2e_and_stitch_is_clean() {
             assert!(!spans.closed.is_empty(), "{name}: no spans stitched");
             for sp in spans.closed.values() {
                 let sum: u64 = sp.segments.iter().sum();
+                let ty = spans.type_name(sp);
                 assert_eq!(
                     sum, sp.dur,
-                    "{name} txn {} ({} @ node {}): segment sum {} != e2e {}",
-                    sp.txn, sp.detail, sp.node, sum, sp.dur
+                    "{name} txn {} ({ty} @ node {}): segment sum {} != e2e {}",
+                    sp.txn, sp.node, sum, sp.dur
                 );
             }
             // undelivered wires are legitimate at end of run (in-flight
