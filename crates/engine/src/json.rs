@@ -191,6 +191,7 @@ impl Json {
     /// Parses a JSON document (must be a single value plus whitespace).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -205,6 +206,8 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -283,13 +286,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go:
+            // both are ASCII, so the run ends on a char boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(b) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
             self.pos += 1;
             match b {
                 b'"' => return Ok(out),
-                b'\\' => {
+                // the run stopped at a backslash
+                _ => {
                     let Some(e) = self.peek() else {
                         return Err(self.err("unterminated escape"));
                     };
@@ -322,16 +334,6 @@ impl<'a> Parser<'a> {
                         }
                         _ => return Err(self.err("unknown escape")),
                     }
-                }
-                _ => {
-                    // Re-decode UTF-8 from the raw bytes: step back and take
-                    // the full character.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -441,6 +443,22 @@ mod tests {
         // \u escapes, including a surrogate pair (U+1F600).
         let v = Json::parse("\"\\u0041\\uD83D\\uDE00\"").unwrap();
         assert_eq!(v.as_str(), Some("A\u{1f600}"));
+    }
+
+    #[test]
+    fn one_mebibyte_string_round_trips() {
+        // ASCII, 2-, 3- and 4-byte characters, escapes the renderer
+        // writes and a surrogate pair it never writes. Decoding each
+        // character by re-checking the rest of the input would take
+        // minutes at this size.
+        let unit_json = r#"ab\"c\\d\n\t\u0001\/\uD83D\uDE00x\u00e9é€😀"#;
+        let unit = "ab\"c\\d\n\t\u{1}/\u{1f600}x\u{e9}é€😀";
+        let k = (1 << 20) / unit.len() + 1;
+        let text = format!("[\"{}\",1]", unit_json.repeat(k));
+        let expected = Json::Arr(vec![Json::str(unit.repeat(k)), Json::num(1)]);
+        assert!(unit.len() * k >= 1 << 20);
+        assert_eq!(Json::parse(&text).unwrap(), expected);
+        assert_eq!(Json::parse(&expected.render()).unwrap(), expected);
     }
 
     #[test]

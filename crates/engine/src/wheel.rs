@@ -9,6 +9,11 @@
 //!
 //! The hot path is kept O(1)-ish per operation:
 //!
+//! * every bucketed event lives in one **slab**; each bucket is a FIFO
+//!   list threaded through the slab by index, and a popped event's slab
+//!   slot goes on a LIFO free list, so a schedule reuses the slot the
+//!   last pop left warm in cache and nothing is allocated once the slab
+//!   has reached the peak number of bucketed events;
 //! * slot count is rounded up to a power of two so the slot index is a
 //!   bitmask, not a modulo;
 //! * a per-slot **occupancy bitmap** lets the cursor jump straight to the
@@ -25,7 +30,7 @@
 //! (the common case for a machine simulator, where most events are a few
 //! cycles out); the heap wins on sparse, long-horizon schedules.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use crate::Cycle;
 
@@ -43,12 +48,46 @@ pub struct Scheduled<E> {
 /// Sentinel for "overflow map is empty".
 const NO_OVERFLOW: Cycle = Cycle::MAX;
 
+/// Sentinel slab index: the end of a list, or an empty bucket.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a bucketed event and the link to the next entry of
+/// its bucket (or of the free list, once its event has been taken).
+#[derive(Debug)]
+struct Slot<E> {
+    at: Cycle,
+    seq: u64,
+    next: u32,
+    /// `None` while the slot is on the free list.
+    event: Option<E>,
+}
+
+/// A bucket's FIFO list through the slab: its first and last slot
+/// ([`NIL`] when the bucket is empty).
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// A timing-wheel event queue with heap-identical ordering semantics.
 #[derive(Debug)]
 pub struct WheelQueue<E> {
-    /// `buckets[t & mask]` holds events with `t` within the horizon, in
+    /// Every bucketed event; each bucket's entries are linked through
+    /// `Slot::next`, and so are the free slots.
+    slab: Vec<Slot<E>>,
+    /// First slot of the free list ([`NIL`] when every slot is in use).
+    free: u32,
+    /// `buckets[t & mask]` lists events with `t` within the horizon, in
     /// insertion order (same-time FIFO comes for free).
-    buckets: Vec<VecDeque<Scheduled<E>>>,
+    buckets: Vec<Bucket>,
     /// Bit `i` set ⇔ `buckets[i]` is non-empty.
     occupied: Vec<u64>,
     /// Bit `i` set ⇔ a refill appended to a non-empty `buckets[i]`, so
@@ -79,7 +118,9 @@ impl<E> WheelQueue<E> {
         assert!(slots >= 2);
         let slots = slots.next_power_of_two();
         Self {
-            buckets: (0..slots).map(|_| VecDeque::new()).collect(),
+            slab: Vec::new(),
+            free: NIL,
+            buckets: vec![Bucket::EMPTY; slots],
             occupied: vec![0u64; slots.div_ceil(64)],
             dirty: vec![0u64; slots.div_ceil(64)],
             overflow: BTreeMap::new(),
@@ -118,16 +159,42 @@ impl<E> WheelQueue<E> {
         self.mask + 1
     }
 
-    /// Appends to a bucket. Direct schedules always append in increasing
-    /// seq order; a refill (`mark_dirty`) may not, in which case the
-    /// bucket is flagged so pops fall back to a full min-seq scan.
+    /// Appends to a bucket, in a slot taken from the free list when one
+    /// is there. Direct schedules always append in increasing seq order;
+    /// a refill (`mark_dirty`) may not, in which case the bucket is
+    /// flagged so pops fall back to a full min-seq scan.
     #[inline]
     fn push_bucket(&mut self, at: Cycle, seq: u64, event: E, mark_dirty: bool) {
         let idx = (at & self.mask) as usize;
-        if mark_dirty && !self.buckets[idx].is_empty() {
-            self.dirty[idx >> 6] |= 1u64 << (idx & 63);
+        let slot = Slot {
+            at,
+            seq,
+            next: NIL,
+            event: Some(event),
+        };
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.slab[i as usize].next;
+            self.slab[i as usize] = slot;
+            i
+        } else {
+            let i = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&i| i != NIL)
+                .expect("more bucketed events than a u32 slab index can address");
+            self.slab.push(slot);
+            i
+        };
+        let bucket = &mut self.buckets[idx];
+        if bucket.tail == NIL {
+            bucket.head = i;
+        } else {
+            if mark_dirty {
+                self.dirty[idx >> 6] |= 1u64 << (idx & 63);
+            }
+            self.slab[bucket.tail as usize].next = i;
         }
-        self.buckets[idx].push_back(Scheduled { at, seq, event });
+        bucket.tail = i;
         self.occupied[idx >> 6] |= 1u64 << (idx & 63);
         self.in_wheel += 1;
     }
@@ -205,7 +272,7 @@ impl<E> WheelQueue<E> {
         loop {
             let idx = (self.cursor & self.mask) as usize;
             if self.occupied[idx >> 6] & (1u64 << (idx & 63)) != 0
-                && self.buckets[idx].iter().any(|s| s.at == self.cursor)
+                && self.find_in_bucket(idx, false).is_some()
             {
                 return Some(self.cursor);
             }
@@ -216,44 +283,60 @@ impl<E> WheelQueue<E> {
         }
     }
 
-    /// Removes the earliest (min-seq) event at the cursor time from
-    /// `buckets[idx]`, if one exists.
+    /// The slot of the earliest (min-seq) event at the cursor time in
+    /// `buckets[idx]`, with its predecessor in the list ([`NIL`] at the
+    /// head), if one exists.
     ///
     /// Fast path: a clean bucket holds entries in seq order, so the
     /// first entry matching the cursor time is the minimum — and it is
-    /// almost always at the front (`pop_front`). Only a bucket a refill
-    /// appended to out of order needs the full min-seq scan.
+    /// almost always the head. Only a bucket a refill appended to out
+    /// of order (`dirty`) needs the full min-seq scan: events of
+    /// different wheel turns can share a slot (e.g. after a refill or a
+    /// cursor rewind), so it filters to the cursor time, then takes the
+    /// earliest seq.
+    #[inline]
+    fn find_in_bucket(&self, idx: usize, dirty: bool) -> Option<(u32, u32)> {
+        let mut best: Option<(u32, u32)> = None;
+        let (mut prev, mut i) = (NIL, self.buckets[idx].head);
+        while i != NIL {
+            let s = &self.slab[i as usize];
+            if s.at == self.cursor && best.is_none_or(|(_, b)| s.seq < self.slab[b as usize].seq) {
+                best = Some((prev, i));
+                if !dirty {
+                    break;
+                }
+            }
+            prev = i;
+            i = s.next;
+        }
+        best
+    }
+
+    /// Removes the earliest (min-seq) event at the cursor time from
+    /// `buckets[idx]`, if one exists, and frees its slot.
     #[inline]
     fn take_from_bucket(&mut self, idx: usize) -> Option<Scheduled<E>> {
         let dirty = self.dirty[idx >> 6] & (1u64 << (idx & 63)) != 0;
-        let bucket = &mut self.buckets[idx];
-        let pos = if !dirty {
-            if bucket.front().is_some_and(|s| s.at == self.cursor) {
-                Some(0)
-            } else {
-                bucket.iter().position(|s| s.at == self.cursor)
-            }
-        } else {
-            // events of different wheel turns can share a slot (e.g.
-            // after a refill or a cursor rewind): filter to the cursor
-            // time, then take the earliest seq
-            let mut best: Option<(usize, u64)> = None;
-            for (i, s) in bucket.iter().enumerate() {
-                if s.at == self.cursor {
-                    best = match best {
-                        Some((_, bseq)) if bseq <= s.seq => best,
-                        _ => Some((i, s.seq)),
-                    };
-                }
-            }
-            best.map(|(i, _)| i)
-        }?;
-        let ev = if pos == 0 {
-            bucket.pop_front().expect("position 0 exists")
-        } else {
-            bucket.remove(pos).expect("position exists")
+        let (prev, i) = self.find_in_bucket(idx, dirty)?;
+        let slot = &mut self.slab[i as usize];
+        let next = slot.next;
+        let ev = Scheduled {
+            at: slot.at,
+            seq: slot.seq,
+            event: slot.event.take().expect("a listed slot holds its event"),
         };
-        if bucket.is_empty() {
+        slot.next = self.free;
+        self.free = i;
+        let bucket = &mut self.buckets[idx];
+        if prev == NIL {
+            bucket.head = next;
+        } else {
+            self.slab[prev as usize].next = next;
+        }
+        if bucket.tail == i {
+            bucket.tail = prev;
+        }
+        if bucket.head == NIL {
             self.occupied[idx >> 6] &= !(1u64 << (idx & 63));
             self.dirty[idx >> 6] &= !(1u64 << (idx & 63));
         }
@@ -333,6 +416,7 @@ impl<E> WheelQueue<E> {
 mod tests {
     use super::*;
     use crate::event::EventQueue;
+    use crate::SimRng;
     use proptest::prelude::*;
 
     #[test]
@@ -439,18 +523,39 @@ mod tests {
         assert_eq!(w.horizon(), 1024);
     }
 
+    #[test]
+    fn freed_slots_are_reused() {
+        // a steady state of at most 8 pending events, some of them
+        // beyond the horizon, never grows the slab past the peak
+        // pending count
+        let mut w = WheelQueue::new(64);
+        let mut rng = SimRng::new(21);
+        let mut peak = 0;
+        for step in 0..100_000u64 {
+            if w.is_empty() || (w.len() < 8 && rng.chance(0.5)) {
+                let delay = if rng.chance(0.05) { 200 } else { rng.below(40) };
+                w.schedule_in(delay, step);
+            } else {
+                w.pop().unwrap();
+            }
+            peak = peak.max(w.len());
+            assert!(w.slab.len() <= peak, "slab {} > peak {peak}", w.slab.len());
+        }
+        assert_eq!(peak, 8);
+    }
+
     proptest! {
         /// The wheel pops in exactly the same order as the binary-heap
         /// queue for any schedule/pop interleaving.
         #[test]
         fn prop_equivalent_to_heap(
             slots in 2usize..32,
-            ops in proptest::collection::vec((0u64..200, 0u8..3), 1..200),
+            ops in proptest::collection::vec((0u64..200, 0u8..4, 1usize..65), 1..1000),
         ) {
             let mut heap = EventQueue::new();
             let mut wheel = WheelQueue::new(slots);
             let mut tag = 0u64;
-            for (d, action) in ops {
+            for (d, action, burst) in ops {
                 match action {
                     0 => {
                         heap.schedule_in(d, tag);
@@ -463,10 +568,19 @@ mod tests {
                         prop_assert_eq!(a, b);
                         prop_assert_eq!(heap.now(), wheel.now());
                     }
-                    _ => {
+                    2 => {
                         // peeks interleave with schedules/pops without
                         // disturbing pop order
                         prop_assert_eq!(heap.peek_time(), wheel.peek_time());
+                    }
+                    _ => {
+                        // a burst at one time, like a broadcast's
+                        // invalidations
+                        for _ in 0..burst {
+                            heap.schedule_in(d, tag);
+                            wheel.schedule_in(d, tag);
+                            tag += 1;
+                        }
                     }
                 }
             }
